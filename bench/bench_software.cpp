@@ -5,6 +5,12 @@
 // Algorithms 1 and 2, the Karatsuba threshold, and the throughput of the
 // hardware-model fidelity levels.
 //
+// The word-level kernel (bignum/mont_kernel.hpp) is timed through the
+// engines on it ("bit-serial", "word-mont") next to the Algorithm-2 bit
+// loop it replaced ("alg2-ref"), and the bench self-gates the ratio: the
+// kernel must be at least 30x the oracle at l = 1024, measured in this
+// process so the gate holds on any host (exit 1 below it).
+//
 // Self-timed (bench_timer.hpp, no benchmark-framework dependency).
 // Writes BENCH_software.json; wall_* keys are host-dependent and exempt
 // from the CI drift gate.  --smoke shortens the measurement windows and
@@ -19,6 +25,7 @@
 #include "bignum/biguint.hpp"
 #include "bignum/montgomery.hpp"
 #include "bignum/random.hpp"
+#include "core/engine.hpp"
 #include "core/mmmc.hpp"
 #include "core/netlist_gen.hpp"
 #include "rtl/simulator.hpp"
@@ -98,6 +105,40 @@ int main(int argc, char** argv) {
     }, window));
   }
 
+  // The kernel under the software engines vs the Algorithm-2 oracle.
+  constexpr double kMinKernelSpeedup = 30.0;
+  double speedup_at_1024 = 0;
+  for (const std::size_t bits : {256u, 512u, 1024u}) {
+    Fixture f(bits);
+    f.x += f.n;  // in [N, 2N): the top half of Algorithm 2's window
+    const auto kernel = mont::core::MakeEngine("bit-serial", f.n);
+    const auto oracle = mont::core::MakeEngine("alg2-ref", f.n);
+    const auto word = mont::core::MakeEngine("word-mont", f.n);
+    const auto fast = mont::bench::TimeIt([&] {
+      mont::bench::KeepAlive(kernel->Multiply(f.x, f.y));
+    }, window);
+    report("kernel_bit_serial", bits, fast);
+    const auto slow = mont::bench::TimeIt([&] {
+      mont::bench::KeepAlive(oracle->Multiply(f.x, f.y));
+    }, window);
+    report("alg2_ref", bits, slow);
+    report("kernel_word_mont", bits, mont::bench::TimeIt([&] {
+      mont::bench::KeepAlive(word->Multiply(f.y, f.y));
+    }, window));
+    if (bits == 1024) speedup_at_1024 = slow.wall_ns_per_op / fast.wall_ns_per_op;
+  }
+  const bool kernel_gate_ok = speedup_at_1024 >= kMinKernelSpeedup;
+  std::printf("kernel vs alg2-ref at l=1024: %.1fx (gate: >= %.0fx) %s\n",
+              speedup_at_1024, kMinKernelSpeedup,
+              kernel_gate_ok ? "ok" : "FAIL");
+  rows.push_back({
+      {"op", "kernel_vs_alg2_ref"},
+      {"bits", std::size_t{1024}},
+      {"wall_speedup", speedup_at_1024},
+      {"gate_min_wall_speedup", kMinKernelSpeedup},
+      {"meets_gate", kernel_gate_ok},
+  });
+
   // Around the Karatsuba threshold (24 limbs = 768 bits) and beyond.
   for (const std::size_t bits : {512u, 768u, 1536u, 4096u, 16384u}) {
     RandomBigUInt rng(0x3141u);
@@ -150,5 +191,5 @@ int main(int argc, char** argv) {
   const std::string path = mont::bench::WriteBenchJson(
       "software", rows, {{"smoke", smoke}});
   std::printf("\nJSON written to %s\n", path.c_str());
-  return 0;
+  return kernel_gate_ok ? 0 : 1;
 }

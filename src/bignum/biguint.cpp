@@ -93,6 +93,24 @@ BigUInt BigUInt::FromLimbs(std::span<const Limb> limbs) {
   return out;
 }
 
+BigUInt BigUInt::FromWords64(std::span<const std::uint64_t> words) {
+  BigUInt out;
+  out.limbs_.resize(2 * words.size());
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    out.limbs_[2 * i] = static_cast<Limb>(words[i]);
+    out.limbs_[2 * i + 1] = static_cast<Limb>(words[i] >> kLimbBits);
+  }
+  out.Normalize();
+  return out;
+}
+
+void BigUInt::ToWords64(std::span<std::uint64_t> words) const {
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = static_cast<std::uint64_t>(LimbAt(2 * i)) |
+               static_cast<std::uint64_t>(LimbAt(2 * i + 1)) << kLimbBits;
+  }
+}
+
 std::size_t BigUInt::BitLength() const {
   if (limbs_.empty()) return 0;
   const Limb top = limbs_.back();

@@ -48,6 +48,8 @@ class BigUInt {
   static BigUInt PowerOfTwo(std::size_t exponent);
   /// Builds a value from raw little-endian limbs (normalizes a copy).
   static BigUInt FromLimbs(std::span<const Limb> limbs);
+  /// Builds a value from little-endian 64-bit words.
+  static BigUInt FromWords64(std::span<const std::uint64_t> words);
   /// Parses a big-endian byte string (the RFC 8017 OS2IP primitive; an
   /// empty span reads as zero).
   static BigUInt FromBytesBE(std::span<const std::uint8_t> bytes);
@@ -71,6 +73,9 @@ class BigUInt {
   std::span<const Limb> Limbs() const { return limbs_; }
   /// Converts to uint64_t; truncates silently if the value does not fit.
   std::uint64_t ToUint64() const;
+  /// Writes the value as little-endian 64-bit words, zero-padded to
+  /// words.size(); truncates silently if the value does not fit.
+  void ToWords64(std::span<std::uint64_t> words) const;
 
   // -- mutators --------------------------------------------------------------
 

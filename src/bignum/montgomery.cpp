@@ -8,16 +8,24 @@ namespace mont::bignum {
 // BitSerialMontgomery
 // ---------------------------------------------------------------------------
 
-BitSerialMontgomery::BitSerialMontgomery(BigUInt modulus)
-    : modulus_(std::move(modulus)) {
-  if (!modulus_.IsOdd() || modulus_ <= BigUInt{1}) {
+namespace {
+
+const BigUInt& CheckedOddModulus(const BigUInt& modulus) {
+  if (!modulus.IsOdd() || modulus <= BigUInt{1}) {
     throw std::invalid_argument("BitSerialMontgomery: modulus must be odd > 1");
   }
-  modulus_times_two_ = modulus_ << 1;
-  l_ = modulus_.BitLength();
-  r_ = BigUInt::PowerOfTwo(l_ + 2);
-  r2_ = (r_ * r_) % modulus_;
+  return modulus;
 }
+
+}  // namespace
+
+BitSerialMontgomery::BitSerialMontgomery(BigUInt modulus)
+    : modulus_(std::move(modulus)),
+      modulus_times_two_(CheckedOddModulus(modulus_) << 1),
+      l_(modulus_.BitLength()),
+      r_(BigUInt::PowerOfTwo(l_ + 2)),
+      r2_((r_ * r_) % modulus_),
+      kernel_(modulus_, l_ + 2, MontKernel::Window::kTwoN) {}
 
 BigUInt BitSerialMontgomery::MultiplyAlg1(const BigUInt& x,
                                           const BigUInt& y) const {
@@ -56,8 +64,16 @@ BigUInt BitSerialMontgomery::MultiplyAlg2(const BigUInt& x,
   return t;
 }
 
+BigUInt BitSerialMontgomery::Multiply(const BigUInt& x,
+                                      const BigUInt& y) const {
+  if (x >= modulus_times_two_ || y >= modulus_times_two_) {
+    throw std::invalid_argument("Multiply: inputs must be < 2N");
+  }
+  return kernel_.Multiply(x, y);
+}
+
 BigUInt BitSerialMontgomery::FromMont(const BigUInt& x) const {
-  BigUInt t = MultiplyAlg2(x, BigUInt{1});
+  BigUInt t = Multiply(x, BigUInt{1});
   // The paper proves Mont(T, 1) <= N with equality impossible for nonzero
   // residues; reduce anyway so callers always receive a canonical value.
   if (t >= modulus_) t -= modulus_;
@@ -74,8 +90,8 @@ BigUInt BitSerialMontgomery::ModExp(const BigUInt& base,
   // Algorithm 3: left-to-right square-and-multiply, top bit consumed by the
   // initialisation A <- M.
   for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    a = MultiplyAlg2(a, a);
-    if (exponent.Bit(i)) a = MultiplyAlg2(a, m_mont);
+    a = Multiply(a, a);
+    if (exponent.Bit(i)) a = Multiply(a, m_mont);
   }
   // Post-processing: one Montgomery multiplication by 1 removes R.
   return FromMont(a);

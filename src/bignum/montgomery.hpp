@@ -5,10 +5,12 @@
 //
 //  * BitSerialMontgomery — radix-2 references for the paper's Algorithm 1
 //    (with final subtraction, R = 2^l) and Algorithm 2 (without final
-//    subtraction, R = 2^(l+2), Walter's bound 4N < R).  These are the golden
-//    models the cycle-accurate systolic hardware in src/core is checked
-//    against, and they expose the paper's pre-/post-processing flow for
-//    modular exponentiation (§4.5).
+//    subtraction, R = 2^(l+2), Walter's bound 4N < R).  The Algorithm-2
+//    bit loop is the golden model (the oracle) the cycle-accurate systolic
+//    hardware in src/core is checked against; Multiply returns the same
+//    representative through the word-level kernel (bignum/mont_kernel.hpp)
+//    and carries the paper's pre-/post-processing flow for modular
+//    exponentiation (§4.5).
 //
 //  * WordMontgomery — word-level (2^32 radix) CIOS / SOS / FIPS variants as
 //    classified by Koç, Acar & Kaliski.  These serve as software baselines in
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "bignum/biguint.hpp"
+#include "bignum/mont_kernel.hpp"
 
 namespace mont::bignum {
 
@@ -46,18 +49,24 @@ class BitSerialMontgomery {
   BigUInt MultiplyAlg1(const BigUInt& x, const BigUInt& y) const;
 
   /// Algorithm 2 (paper): l+2 iterations, R = 2^(l+2), inputs in [0, 2N),
-  /// output congruent to x*y*R^-1 (mod N) and guaranteed < 2N.
-  /// Throws std::invalid_argument if an input is >= 2N.
+  /// output congruent to x*y*R^-1 (mod N) and guaranteed < 2N.  The bit
+  /// loop itself — the oracle that Multiply and the hardware models are
+  /// tested against.  Throws std::invalid_argument if an input is >= 2N.
   BigUInt MultiplyAlg2(const BigUInt& x, const BigUInt& y) const;
 
+  /// Algorithm 2's exact output, computed as a word-level REDC with
+  /// R = 2^(l+2) (MontKernel).  Bit-identical to MultiplyAlg2, including
+  /// the < 2N operand check.
+  BigUInt Multiply(const BigUInt& x, const BigUInt& y) const;
+
   /// Montgomery-domain entry: Mont(x, R^2 mod N) = x*R mod 2N.
-  BigUInt ToMont(const BigUInt& x) const { return MultiplyAlg2(x, r2_); }
+  BigUInt ToMont(const BigUInt& x) const { return Multiply(x, r2_); }
   /// Montgomery-domain exit: Mont(x, 1) = x*R^-1 mod 2N; per the paper this
   /// final step is bounded by N (reduced below N here for API convenience).
   BigUInt FromMont(const BigUInt& x) const;
 
   /// Modular exponentiation per the paper's §4.5 flow: pre-multiply by
-  /// R^2 mod N, left-to-right square-and-multiply over Algorithm 2, then a
+  /// R^2 mod N, left-to-right square-and-multiply over Multiply, then a
   /// final Mont(·, 1).  Returns base^exponent mod N.
   BigUInt ModExp(const BigUInt& base, const BigUInt& exponent) const;
 
@@ -67,6 +76,7 @@ class BitSerialMontgomery {
   std::size_t l_ = 0;
   BigUInt r_;
   BigUInt r2_;
+  MontKernel kernel_;
 };
 
 /// Word-level Montgomery multiplication (radix 2^32) for an odd modulus.

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "bignum/gf2.hpp"
+#include "bignum/mont_kernel.hpp"
 #include "bignum/montgomery.hpp"
 #include "core/high_radix.hpp"
 #include "core/interleaved.hpp"
@@ -159,24 +160,30 @@ BigUInt MmmEngine::ModExp(const BigUInt& base, const BigUInt& exponent,
 
 namespace {
 
-/// "bit-serial" (GF(p) form) — the software Algorithm-2 reference;
-/// charges the validated 3l+4 per multiplication.
+/// "bit-serial" (GF(p) form) — Algorithm 2's exact output through the
+/// word-level kernel (REDC with R = 2^(l+2)); "alg2-ref" — the same
+/// products from the Algorithm-2 bit loop itself, the oracle kept for
+/// tests and in-process speed ratios.  Both charge the validated 3l+4 per
+/// multiplication.
 class GfpBitSerialEngine final : public MmmEngine {
  public:
-  explicit GfpBitSerialEngine(BigUInt modulus)
+  GfpBitSerialEngine(BigUInt modulus, bool oracle)
       : MmmEngine(modulus, EngineField::kGfP, modulus.BitLength(),
                   modulus << 1),
-        ctx_(std::move(modulus)) {}
+        ctx_(std::move(modulus)),
+        oracle_(oracle) {}
 
-  std::string_view Name() const override { return "bit-serial"; }
+  std::string_view Name() const override {
+    return oracle_ ? "alg2-ref" : "bit-serial";
+  }
   EngineCaps Caps() const override {
-    return {.gf2 = true, .pairable_streams = true};
+    return {.gf2 = !oracle_, .pairable_streams = true};
   }
 
   BigUInt Multiply(const BigUInt& x, const BigUInt& y,
                    std::uint64_t* cycles) const override {
     if (cycles != nullptr) *cycles += MultiplyCyclesModel();
-    return ctx_.MultiplyAlg2(x, y);
+    return oracle_ ? ctx_.MultiplyAlg2(x, y) : ctx_.Multiply(x, y);
   }
   const BigUInt& MontFactor() const override { return ctx_.RSquaredModN(); }
   std::uint64_t MultiplyCyclesModel() const override {
@@ -185,6 +192,7 @@ class GfpBitSerialEngine final : public MmmEngine {
 
  private:
   bignum::BitSerialMontgomery ctx_;
+  bool oracle_;
 };
 
 class Gf2BitSerialEngine final : public MmmEngine {
@@ -214,31 +222,39 @@ class Gf2BitSerialEngine final : public MmmEngine {
   BigUInt factor_;
 };
 
-/// "word-mont" — word-level (radix 2^32) CIOS software baseline; the only
+/// "word-mont" — word-level Montgomery with the CIOS parameter
+/// R = 2^(32s) (s = 32-bit limb count of N) on the shared kernel; the only
 /// backend whose chainable window is [0, N).  Cycle model counts word-MAC
-/// operations of the coarsely-integrated scan, not array clocks.
+/// operations of the coarsely-integrated scan (2s^2 + s), not array clocks.
 class WordMontEngine final : public MmmEngine {
  public:
   explicit WordMontEngine(BigUInt modulus)
       : MmmEngine(modulus, EngineField::kGfP, modulus.BitLength(), modulus),
-        ctx_(std::move(modulus)) {}
+        s_(modulus.LimbCount()),
+        factor_(GfpMontFactor(modulus, BigUInt::kLimbBits * s_)),
+        kernel_(modulus, BigUInt::kLimbBits * s_,
+                bignum::MontKernel::Window::kN) {}
 
   std::string_view Name() const override { return "word-mont"; }
   EngineCaps Caps() const override { return {}; }
 
   BigUInt Multiply(const BigUInt& x, const BigUInt& y,
                    std::uint64_t* cycles) const override {
+    if (x >= Modulus() || y >= Modulus()) {
+      throw std::invalid_argument("word-mont: operands must be < N");
+    }
     if (cycles != nullptr) *cycles += MultiplyCyclesModel();
-    return ctx_.Multiply(x, y);
+    return kernel_.Multiply(x, y);
   }
-  const BigUInt& MontFactor() const override { return ctx_.RSquaredModN(); }
+  const BigUInt& MontFactor() const override { return factor_; }
   std::uint64_t MultiplyCyclesModel() const override {
-    const std::uint64_t s = ctx_.LimbCount();
-    return 2 * s * s + s;
+    return 2 * s_ * s_ + s_;
   }
 
  private:
-  bignum::WordMontgomery ctx_;
+  std::uint64_t s_;
+  BigUInt factor_;
+  bignum::MontKernel kernel_;
 };
 
 /// "mmmc" — the paper's cycle-accurate behavioural array model (dual
@@ -345,14 +361,18 @@ class HighRadixEngine final : public MmmEngine {
 
 /// "blum-paar" — the comparison design's functional model: radix-2
 /// Montgomery with the non-optimal R = 2^(l+3) (one extra iteration, two
-/// extra cycles).  baseline::BlumPaarRadix2 delegates its arithmetic here;
-/// the PE netlist/timing side stays in src/baseline.
+/// extra cycles).  Its l+3-iteration loop returns exactly REDC with that
+/// R, so it runs on the shared kernel.  baseline::BlumPaarRadix2
+/// delegates its arithmetic here; the PE netlist/timing side stays in
+/// src/baseline.
 class BlumPaarEngine final : public MmmEngine {
  public:
   explicit BlumPaarEngine(BigUInt modulus)
       : MmmEngine(modulus, EngineField::kGfP, modulus.BitLength(),
                   modulus << 1),
-        factor_(GfpMontFactor(modulus, modulus.BitLength() + 3)) {}
+        factor_(GfpMontFactor(modulus, modulus.BitLength() + 3)),
+        kernel_(modulus, modulus.BitLength() + 3,
+                bignum::MontKernel::Window::kTwoN) {}
 
   std::string_view Name() const override { return "blum-paar"; }
   EngineCaps Caps() const override { return {}; }
@@ -363,21 +383,14 @@ class BlumPaarEngine final : public MmmEngine {
       throw std::invalid_argument("blum-paar: operands must be < 2N");
     }
     if (cycles != nullptr) *cycles += MultiplyCyclesModel();
-    BigUInt t;
-    for (std::size_t i = 0; i < l() + 3; ++i) {
-      const bool xi = x.Bit(i);
-      const bool mi = t.Bit(0) ^ (xi && y.Bit(0));
-      if (xi) t += y;
-      if (mi) t += Modulus();
-      t >>= 1;
-    }
-    return t;
+    return kernel_.Multiply(x, y);
   }
   const BigUInt& MontFactor() const override { return factor_; }
   std::uint64_t MultiplyCyclesModel() const override { return 3 * l() + 6; }
 
  private:
   BigUInt factor_;
+  bignum::MontKernel kernel_;
 };
 
 /// "netlist-sim" — the generated gate-level MMMC driven through the
@@ -497,8 +510,9 @@ EngineRegistry::EngineRegistry() {
   };
 
   Register("bit-serial",
-           {"software Algorithm 2 (GF(p)) / carry-less twin (GF(2^m)), "
-            "cycles charged at the validated 3l+4",
+           {"word-level REDC, R = 2^(l+2), exact Algorithm-2 output (GF(p)) "
+            "/ carry-less twin (GF(2^m)), cycles charged at the validated "
+            "3l+4",
             {.gf2 = true, .pairable_streams = true},
             [check_modulus](BigUInt modulus, const EngineOptions& options)
                 -> std::unique_ptr<MmmEngine> {
@@ -506,10 +520,22 @@ EngineRegistry::EngineRegistry() {
               if (options.field == EngineField::kGf2) {
                 return std::make_unique<Gf2BitSerialEngine>(std::move(modulus));
               }
-              return std::make_unique<GfpBitSerialEngine>(std::move(modulus));
+              return std::make_unique<GfpBitSerialEngine>(std::move(modulus),
+                                                          /*oracle=*/false);
+            }});
+  Register("alg2-ref",
+           {"Algorithm-2 bit loop, the oracle bit-serial is checked against "
+            "(tests and benches only), cycles charged at 3l+4",
+            {.pairable_streams = true},
+            [](BigUInt modulus, const EngineOptions& options)
+                -> std::unique_ptr<MmmEngine> {
+              RequireGfp(options, "alg2-ref");
+              CheckGfpModulus(modulus, "alg2-ref");
+              return std::make_unique<GfpBitSerialEngine>(std::move(modulus),
+                                                          /*oracle=*/true);
             }});
   Register("word-mont",
-           {"word-level (radix 2^32) CIOS software baseline, window [0, N)",
+           {"word-level Montgomery, R = 2^(32s) as in CIOS, window [0, N)",
             {},
             [](BigUInt modulus, const EngineOptions& options) {
               RequireGfp(options, "word-mont");

@@ -3,8 +3,10 @@
 // The tree holds many Montgomery-multiplier datapaths: the paper's
 // bit-serial systolic array (behavioural `Mmmc` and its gate-level
 // netlist), the dual-channel interleaved array, the radix-2^alpha
-// word-serial pipeline, the software references (bit-serial Algorithm 2
-// and word-level CIOS), and the Blum–Paar comparison design.  Each used to
+// word-serial pipeline, the software engines on the word-level kernel
+// (Algorithm 2's exact output, and word-level Montgomery with the CIOS
+// parameter), the Algorithm-2 bit loop they are checked against, and the
+// Blum–Paar comparison design.  Each used to
 // expose a bespoke constructor/Multiply/stats shape, so every caller
 // (exponentiator, service, crypto, benches) hard-coded one backend.
 //
@@ -24,7 +26,7 @@
 //
 // `EngineRegistry` maps string names to factories, so a workload selects
 // its datapath by configuration ("mmmc", "interleaved", "high-radix",
-// "word-mont", "blum-paar", "netlist-sim", "bit-serial") and every
+// "word-mont", "blum-paar", "netlist-sim", "bit-serial", "alg2-ref") and every
 // datapath becomes a drop-in, benchmarkable scenario.  The registered
 // backends are asserted bit-identical on a shared operand sweep in
 // tests/test_engine.cpp.

@@ -43,7 +43,7 @@ BigUInt MultiExponentiator::ModExp(const BigUInt& base, const BigUInt& exponent,
   const BigUInt& n = Modulus();
   if (exponent.IsZero()) return BigUInt{1} % n;
   const BigUInt m = base % n;
-  const BigUInt m_mont = ctx_.MultiplyAlg2(m, ctx_.RSquaredModN());
+  const BigUInt m_mont = ctx_.Multiply(m, ctx_.RSquaredModN());
   RecordPre(trace);
 
   BigUInt a;
@@ -65,7 +65,7 @@ BigUInt MultiExponentiator::ModExp(const BigUInt& base, const BigUInt& exponent,
       break;
   }
 
-  BigUInt out = ctx_.MultiplyAlg2(a, BigUInt{1});
+  BigUInt out = ctx_.Multiply(a, BigUInt{1});
   RecordPre(trace);
   if (out >= n) out -= n;
   return out;
@@ -75,10 +75,10 @@ BigUInt MultiExponentiator::LeftToRight(const BigUInt& m_mont, const BigUInt& e,
                                         ExpTrace* t) const {
   BigUInt a = m_mont;
   for (std::size_t i = e.BitLength() - 1; i-- > 0;) {
-    a = ctx_.MultiplyAlg2(a, a);
+    a = ctx_.Multiply(a, a);
     Record(t, MmmOp::kSquare);
     if (e.Bit(i)) {
-      a = ctx_.MultiplyAlg2(a, m_mont);
+      a = ctx_.Multiply(a, m_mont);
       Record(t, MmmOp::kMultiply);
     }
   }
@@ -89,18 +89,18 @@ BigUInt MultiExponentiator::RightToLeft(const BigUInt& m_mont, const BigUInt& e,
                                         ExpTrace* t) const {
   // A accumulates; S holds m^(2^i).  One extra squaring chain, but the
   // squarings do not depend on the exponent bits at all.
-  BigUInt one_mont = ctx_.MultiplyAlg2(ctx_.RSquaredModN(), BigUInt{1});
+  BigUInt one_mont = ctx_.Multiply(ctx_.RSquaredModN(), BigUInt{1});
   RecordPre(t);
   BigUInt a = one_mont;
   BigUInt s = m_mont;
   const std::size_t bits = e.BitLength();
   for (std::size_t i = 0; i < bits; ++i) {
     if (e.Bit(i)) {
-      a = ctx_.MultiplyAlg2(a, s);
+      a = ctx_.Multiply(a, s);
       Record(t, MmmOp::kMultiply);
     }
     if (i + 1 < bits) {
-      s = ctx_.MultiplyAlg2(s, s);
+      s = ctx_.Multiply(s, s);
       Record(t, MmmOp::kSquare);
     }
   }
@@ -114,10 +114,10 @@ BigUInt MultiExponentiator::SlidingWindow(const BigUInt& m_mont,
   const std::size_t table_size = std::size_t{1} << (w - 1);
   std::vector<BigUInt> odd_powers(table_size);
   odd_powers[0] = m_mont;
-  const BigUInt m2 = ctx_.MultiplyAlg2(m_mont, m_mont);
+  const BigUInt m2 = ctx_.Multiply(m_mont, m_mont);
   RecordPre(t);
   for (std::size_t i = 1; i < table_size; ++i) {
-    odd_powers[i] = ctx_.MultiplyAlg2(odd_powers[i - 1], m2);
+    odd_powers[i] = ctx_.Multiply(odd_powers[i - 1], m2);
     RecordPre(t);
   }
 
@@ -127,7 +127,7 @@ BigUInt MultiExponentiator::SlidingWindow(const BigUInt& m_mont,
   while (i >= 0) {
     if (!e.Bit(static_cast<std::size_t>(i))) {
       if (started) {
-        a = ctx_.MultiplyAlg2(a, a);
+        a = ctx_.Multiply(a, a);
         Record(t, MmmOp::kSquare);
       }
       --i;
@@ -147,10 +147,10 @@ BigUInt MultiExponentiator::SlidingWindow(const BigUInt& m_mont,
       started = true;
     } else {
       for (std::size_t s = 0; s < width; ++s) {
-        a = ctx_.MultiplyAlg2(a, a);
+        a = ctx_.Multiply(a, a);
         Record(t, MmmOp::kSquare);
       }
-      a = ctx_.MultiplyAlg2(a, odd_powers[(value - 1) / 2]);
+      a = ctx_.Multiply(a, odd_powers[(value - 1) / 2]);
       Record(t, MmmOp::kMultiply);
     }
     i = bottom - 1;
@@ -162,19 +162,19 @@ BigUInt MultiExponentiator::Ladder(const BigUInt& m_mont, const BigUInt& e,
                                    ExpTrace* t) const {
   // Joye-Yen ladder: (R0, R1) with R1 = R0 * m always; one multiply and
   // one square per bit, independent of the bit value.
-  BigUInt r0 = ctx_.MultiplyAlg2(ctx_.RSquaredModN(), BigUInt{1});  // 1*R
+  BigUInt r0 = ctx_.Multiply(ctx_.RSquaredModN(), BigUInt{1});  // 1*R
   RecordPre(t);
   BigUInt r1 = m_mont;
   for (std::size_t i = e.BitLength(); i-- > 0;) {
     if (e.Bit(i)) {
-      r0 = ctx_.MultiplyAlg2(r0, r1);
+      r0 = ctx_.Multiply(r0, r1);
       Record(t, MmmOp::kMultiply);
-      r1 = ctx_.MultiplyAlg2(r1, r1);
+      r1 = ctx_.Multiply(r1, r1);
       Record(t, MmmOp::kSquare);
     } else {
-      r1 = ctx_.MultiplyAlg2(r0, r1);
+      r1 = ctx_.Multiply(r0, r1);
       Record(t, MmmOp::kMultiply);
-      r0 = ctx_.MultiplyAlg2(r0, r0);
+      r0 = ctx_.Multiply(r0, r0);
       Record(t, MmmOp::kSquare);
     }
   }

@@ -59,8 +59,8 @@ struct ExpTrace {
 };
 
 /// Modular exponentiation engine offering all four algorithms over one
-/// modulus.  All values move through the paper's Algorithm 2; results are
-/// canonical (< N).
+/// modulus.  All values move through the paper's Algorithm 2 (its exact
+/// output, via BitSerialMontgomery::Multiply); results are canonical (< N).
 class MultiExponentiator {
  public:
   explicit MultiExponentiator(bignum::BigUInt modulus);

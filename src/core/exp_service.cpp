@@ -540,28 +540,24 @@ ExpService::~ExpService() {
 
 std::uint64_t ExpService::NowTicks() const { return clock_->Now(); }
 
-std::future<ExpService::Result> ExpService::Enqueue(Job job, std::uint64_t key,
-                                                    bool pairable) {
+std::future<ExpService::Result> ExpService::EnqueueLocked(Queued queued) {
+  Job& job = queued.job;
   std::future<Result> future = job.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const std::uint64_t now = NowTicks();
-    job.id = next_id_++;
-    if (options_.tracer != nullptr && options_.tracer->enabled()) {
-      const std::uint64_t trace_id =
-          job.spec.options.trace_id != 0 ? job.spec.options.trace_id : job.id;
-      options_.tracer->Instant("job.submit", trace_id, 0, now,
-                               {{"job", job.id}, {"key", key}});
-    }
-    if (sched_ != nullptr) {
-      sched_->Submit(job.id, key, pairable, now);
-    } else {
-      queue_.Push(job.id, key);
-    }
-    pending_.emplace(job.id, std::move(job));
-    metrics_.jobs_submitted.Increment();
+  const std::uint64_t now = NowTicks();
+  job.id = next_id_++;
+  if (options_.tracer != nullptr && options_.tracer->enabled()) {
+    const std::uint64_t trace_id =
+        job.spec.options.trace_id != 0 ? job.spec.options.trace_id : job.id;
+    options_.tracer->Instant("job.submit", trace_id, 0, now,
+                             {{"job", job.id}, {"key", queued.key}});
   }
-  cv_.notify_one();
+  if (sched_ != nullptr) {
+    sched_->Submit(job.id, queued.key, queued.pairable, now);
+  } else {
+    queue_.Push(job.id, queued.key);
+  }
+  pending_.emplace(job.id, std::move(job));
+  metrics_.jobs_submitted.Increment();
   return future;
 }
 
@@ -578,6 +574,42 @@ std::future<ExpService::Result> ExpService::Submit(BigUInt modulus,
                                                    BigUInt exponent,
                                                    JobOptions job_options,
                                                    Callback callback) {
+  Queued queued = MakeJob(std::move(modulus), std::move(base),
+                          std::move(exponent), std::move(job_options),
+                          std::move(callback));
+  std::future<Result> future;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    future = EnqueueLocked(std::move(queued));
+  }
+  cv_.notify_one();
+  return future;
+}
+
+std::pair<std::future<ExpService::Result>, std::future<ExpService::Result>>
+ExpService::SubmitTogether(BigUInt modulus_a, BigUInt base_a,
+                           BigUInt exponent_a, Callback callback_a,
+                           BigUInt modulus_b, BigUInt base_b,
+                           BigUInt exponent_b, Callback callback_b,
+                           const JobOptions& options) {
+  Queued a = MakeJob(std::move(modulus_a), std::move(base_a),
+                     std::move(exponent_a), options, std::move(callback_a));
+  Queued b = MakeJob(std::move(modulus_b), std::move(base_b),
+                     std::move(exponent_b), options, std::move(callback_b));
+  std::pair<std::future<Result>, std::future<Result>> futures;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    futures.first = EnqueueLocked(std::move(a));
+    futures.second = EnqueueLocked(std::move(b));
+  }
+  cv_.notify_one();
+  cv_.notify_one();
+  return futures;
+}
+
+ExpService::Queued ExpService::MakeJob(BigUInt modulus, BigUInt base,
+                                       BigUInt exponent, JobOptions job_options,
+                                       Callback callback) {
   core_.ValidateModulus(modulus);
   const bool pairable = core_.Pairable(job_options);
   if (!job_options.exponent_blind_order.IsZero() &&
@@ -585,23 +617,25 @@ std::future<ExpService::Result> ExpService::Submit(BigUInt modulus,
     throw std::invalid_argument(
         "ExpService: exponent_blind_bits must be >= 1 when blinding");
   }
-  Job job;
+  Queued queued;
   // Opportunistic pairing key: the operand length — any two jobs of equal
   // l can share one array's two channels.  Under the v1 shared queue a
   // job on a backend without pairable streams gets a key of its own
   // instead (the v2 scheduler takes the pairable flag directly), so the
   // scheduler never hands it a partner its datapath cannot co-schedule.
-  std::uint64_t key = modulus.BitLength();
+  queued.key = modulus.BitLength();
+  queued.pairable = pairable;
   if (!pairable && sched_ == nullptr) {
     std::lock_guard<std::mutex> lk(mu_);
-    key = (std::uint64_t{1} << 62) | next_solo_key_++;
+    queued.key = (std::uint64_t{1} << 62) | next_solo_key_++;
   }
+  Job& job = queued.job;
   job.spec.modulus = std::move(modulus);
   job.spec.base = std::move(base);
   job.spec.exponent = std::move(exponent);
   job.spec.options = std::move(job_options);
   job.callback = std::move(callback);
-  return Enqueue(std::move(job), key, pairable);
+  return queued;
 }
 
 std::vector<std::future<ExpService::Result>> ExpService::SubmitBatch(
@@ -611,11 +645,20 @@ std::vector<std::future<ExpService::Result>> ExpService::SubmitBatch(
     throw std::invalid_argument(
         "ExpService::SubmitBatch: bases/exponents size mismatch");
   }
-  std::vector<std::future<Result>> futures;
-  futures.reserve(bases.size());
+  std::vector<Queued> batch;
+  batch.reserve(bases.size());
   for (std::size_t i = 0; i < bases.size(); ++i) {
-    futures.push_back(Submit(modulus, bases[i], exponents[i]));
+    batch.push_back(MakeJob(modulus, bases[i], exponents[i], {}, {}));
   }
+  std::vector<std::future<Result>> futures;
+  futures.reserve(batch.size());
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (Queued& queued : batch) {
+      futures.push_back(EnqueueLocked(std::move(queued)));
+    }
+  }
+  cv_.notify_all();
   return futures;
 }
 

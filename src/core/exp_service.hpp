@@ -341,8 +341,23 @@ class ExpService {
                              bignum::BigUInt exponent, JobOptions options,
                              Callback callback = {});
 
+  /// Enqueues two jobs, each as Submit(modulus, base, exponent, options,
+  /// callback) would, under one acquisition of the queue lock, so no
+  /// worker can claim the first before the second is queued.  Two
+  /// equal-length pairable jobs submitted to an idle pool therefore always
+  /// meet in the scheduler's pair-at-submit (the two CRT halves of one
+  /// signature) instead of racing a waking worker.  Throws as Submit does,
+  /// before either job is queued.
+  std::pair<std::future<Result>, std::future<Result>> SubmitTogether(
+      bignum::BigUInt modulus_a, bignum::BigUInt base_a,
+      bignum::BigUInt exponent_a, Callback callback_a,
+      bignum::BigUInt modulus_b, bignum::BigUInt base_b,
+      bignum::BigUInt exponent_b, Callback callback_b,
+      const JobOptions& options);
+
   /// Enqueues bases[i]^exponents[i] mod modulus for every i (sizes must
-  /// match).  Same-modulus batches pair with each other naturally.
+  /// match), all under one acquisition of the queue lock as in
+  /// SubmitTogether, so a same-modulus batch pairs with itself.
   std::vector<std::future<Result>> SubmitBatch(
       const bignum::BigUInt& modulus, std::span<const bignum::BigUInt> bases,
       std::span<const bignum::BigUInt> exponents);
@@ -417,8 +432,20 @@ class ExpService {
     Callback callback;
   };
 
+  /// A validated job with its pairing key, ready to enter the queue.
+  struct Queued {
+    Job job;
+    std::uint64_t key = 0;
+    bool pairable = false;
+  };
+
   std::uint64_t NowTicks() const;
-  std::future<Result> Enqueue(Job job, std::uint64_t key, bool pairable);
+  /// Validates the job and derives its pairing key (Submit's checks).
+  Queued MakeJob(bignum::BigUInt modulus, bignum::BigUInt base,
+                 bignum::BigUInt exponent, JobOptions options,
+                 Callback callback);
+  /// Hands the job to the scheduler; the caller holds mu_ and notifies.
+  std::future<Result> EnqueueLocked(Queued queued);
   void WorkerLoop(std::size_t index);
   /// Acquires the next issue batch for `index`, waiting as needed.
   /// Returns false when the worker should exit (stopping and drained).

@@ -294,9 +294,11 @@ std::vector<BigUInt> RsaSignBatch(const RsaKeyPair& key,
 
   // Pipelined CRT: the p- and q-halves go in as *independent* jobs, so
   // each half completes on its own (the scheduler pairs equal-length
-  // halves opportunistically — same message or across messages) and the
-  // second-arriving half posts Garner recombination + the
-  // Bellcore/Lenstra fault check to the service's continuation thread.
+  // halves opportunistically — same message or across messages; they
+  // enter the queue together, so an idle worker cannot take the p-half
+  // alone before its q-half is queued) and the second-arriving half posts
+  // Garner recombination + the Bellcore/Lenstra fault check to the
+  // service's continuation thread.
   // No worker array ever stalls on recombination, and a slow q-half
   // can't block the next message's p-half from issuing.
   //
@@ -356,19 +358,18 @@ std::vector<BigUInt> RsaSignBatch(const RsaKeyPair& key,
     };
     core::ExpJobOptions job_options;
     job_options.trace_id = trace_id;
-    auto p_half = service.Submit(
-        key.p, message % key.p, dp, job_options,
+    halves.push_back(service.SubmitTogether(
+        key.p, message % key.p, dp,
         [state, finish_half](const core::ExpService::Result& result) {
           state->mp = result.value;
           finish_half();
-        });
-    auto q_half = service.Submit(
-        key.q, message % key.q, dq, job_options,
+        },
+        key.q, message % key.q, dq,
         [state, finish_half](const core::ExpService::Result& result) {
           state->mq = result.value;
           finish_half();
-        });
-    halves.emplace_back(std::move(p_half), std::move(q_half));
+        },
+        job_options));
   }
   // Half futures resolve unconditionally (value or exception), so they
   // are waited first — a failed half means its callback never ran and

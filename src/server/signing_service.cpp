@@ -245,18 +245,22 @@ void SigningService::SubmitHalvesLocked(
   // Both half-jobs carry the request id as their trace id, so the
   // engine-level job.run spans correlate with the server.* events.
   job_options.trace_id = state->request_id;
-  exp_->Submit(key.p, state->em % key.p, state->key->dp, job_options,
-               [this, state](const core::ExpResult& result) {
-                 state->mp = result.value;
-                 state->p_cancelled = result.cancelled;
-                 OnHalfDone(state);
-               });
-  exp_->Submit(key.q, state->em % key.q, state->key->dq, job_options,
-               [this, state](const core::ExpResult& result) {
-                 state->mq = result.value;
-                 state->q_cancelled = result.cancelled;
-                 OnHalfDone(state);
-               });
+  // Both halves enter the queue together: a worker woken by the first
+  // must not claim it alone before the second arrives to pair with it.
+  exp_->SubmitTogether(
+      key.p, state->em % key.p, state->key->dp,
+      [this, state](const core::ExpResult& result) {
+        state->mp = result.value;
+        state->p_cancelled = result.cancelled;
+        OnHalfDone(state);
+      },
+      key.q, state->em % key.q, state->key->dq,
+      [this, state](const core::ExpResult& result) {
+        state->mq = result.value;
+        state->q_cancelled = result.cancelled;
+        OnHalfDone(state);
+      },
+      job_options);
 }
 
 void SigningService::OnHalfDone(const std::shared_ptr<RequestState>& state) {
@@ -353,14 +357,19 @@ void SigningService::Finish(const std::shared_ptr<RequestState>& state,
   {
     std::lock_guard<std::mutex> lk(mu_);
     admission_.OnComplete(state->tenant_id);
-    --in_flight_;
-    if (in_flight_ == 0) idle_cv_.notify_all();
   }
   if (state->respond) {
     try {
       state->respond(std::move(response));
     } catch (...) {
     }
+  }
+  // The request retires only once its response has been delivered, so a
+  // caller returning from Wait() has seen every callback run.
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    --in_flight_;
+    if (in_flight_ == 0) idle_cv_.notify_all();
   }
 }
 

@@ -109,8 +109,9 @@ class SigningService {
   /// Synchronous convenience wrapper (blocks for the response).
   SignResponse HandleRequestSync(std::vector<std::uint8_t> payload);
 
-  /// Blocks until no admitted request is in flight AND the underlying
-  /// ExpService has retired every job (so counter snapshots are stable).
+  /// Blocks until every admitted request's response callback has
+  /// returned AND the underlying ExpService has retired every job (so
+  /// counter snapshots are stable).
   void Wait();
 
   /// Compat snapshot of the server.* registry counters.  The registry

@@ -31,8 +31,8 @@ std::vector<std::string> AllNames() { return EngineRegistry::Global().Names(); }
 TEST(EngineRegistry, ListsAllBuiltinBackends) {
   const auto names = AllNames();
   for (const char* expected :
-       {"bit-serial", "blum-paar", "high-radix", "interleaved", "mmmc",
-        "netlist-sim", "word-mont"}) {
+       {"alg2-ref", "bit-serial", "blum-paar", "high-radix", "interleaved",
+        "mmmc", "netlist-sim", "word-mont"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing backend " << expected;
   }
@@ -54,7 +54,7 @@ TEST(EngineRegistry, Gf2CapabilityMismatchThrows) {
   const BigUInt f{0x13};  // x^4 + x + 1
   const EngineOptions gf2{.field = EngineField::kGf2};
   for (const char* gfp_only :
-       {"word-mont", "interleaved", "high-radix", "blum-paar"}) {
+       {"word-mont", "interleaved", "high-radix", "blum-paar", "alg2-ref"}) {
     EXPECT_THROW(MakeEngine(gfp_only, f, gf2), std::invalid_argument)
         << gfp_only;
     EXPECT_FALSE(EngineRegistry::Global().Find(gfp_only)->caps.gf2);

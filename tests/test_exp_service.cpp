@@ -373,6 +373,46 @@ TEST(ExpService, BondedPairReportsPairCycleAccounting) {
   EXPECT_LT(result_a.stats.engine_cycles, sequential);
 }
 
+// Jobs submitted together enter the scheduler under one lock, so an idle
+// pool always pairs two equal-length ones at submit: no waking worker can
+// take the first alone before the second is queued.
+TEST(ExpService, SubmitTogetherPairsAtIdle) {
+  auto rng = test::TestRng();
+  const std::size_t bits = 64;
+  const BigUInt n_a = rng.OddExactBits(bits);
+  const BigUInt n_b = rng.OddExactBits(bits);
+  ExpService::Options options;
+  options.workers = 2;
+  ExpService service(options);
+  std::atomic<int> callbacks{0};
+  const auto count = [&callbacks](const ExpService::Result&) { ++callbacks; };
+  constexpr int kRounds = 32;
+  for (int round = 0; round < kRounds; ++round) {
+    const BigUInt base_a = rng.Below(n_a), base_b = rng.Below(n_b);
+    const BigUInt exp_a = rng.BalancedExactBits(bits);
+    const BigUInt exp_b = rng.BalancedExactBits(bits);
+    auto [future_a, future_b] = service.SubmitTogether(
+        n_a, base_a, exp_a, count, n_b, base_b, exp_b, count, {});
+    const ExpService::Result result_a = future_a.get();
+    const ExpService::Result result_b = future_b.get();
+    EXPECT_TRUE(result_a.paired) << "round " << round;
+    EXPECT_TRUE(result_b.paired) << "round " << round;
+    EXPECT_EQ(result_a.value, BigUInt::ModExp(base_a, exp_a, n_a));
+    EXPECT_EQ(result_b.value, BigUInt::ModExp(base_b, exp_b, n_b));
+    service.Wait();  // idle again before the next round
+  }
+  EXPECT_EQ(callbacks.load(), 2 * kRounds);
+  EXPECT_EQ(service.Snapshot().pair_issues,
+            static_cast<std::uint64_t>(kRounds));
+  // A bad second modulus throws before either job is queued.
+  EXPECT_THROW(service.SubmitTogether(n_a, BigUInt{2}, BigUInt{3}, {},
+                                      BigUInt{24}, BigUInt{2}, BigUInt{3}, {},
+                                      {}),
+               std::invalid_argument);
+  EXPECT_EQ(service.Snapshot().jobs_submitted,
+            static_cast<std::uint64_t>(2 * kRounds));
+}
+
 TEST(ExpService, SubmitBatchAndCallbacks) {
   auto rng = test::TestRng();
   const BigUInt n = rng.OddExactBits(32);

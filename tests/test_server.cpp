@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <string>
@@ -465,6 +466,11 @@ TEST(SigningServiceTest, OverloadShedsByPriorityWithTypedError) {
   SigningService::Options options;
   options.admission.queue_high_watermark = 2;
   options.service.workers = 1;
+  // The only worker waits at this gate until the victim has been answered,
+  // so no flood request can complete (and lower the depth) first.
+  std::promise<void> open_gate;
+  const std::shared_future<void> gate = open_gate.get_future().share();
+  options.service.worker_observer = [gate](std::size_t) { gate.wait(); };
   SigningService service(std::move(keystore), options);
 
   // Pile up high-priority in-flight work past the watermark (depth 4 is
@@ -480,11 +486,23 @@ TEST(SigningServiceTest, OverloadShedsByPriorityWithTypedError) {
   // The low-priority tenant is now below the rising cutoff.
   auto starved = MakeRequest("victim");
   starved.tenant_id = 2;
-  const auto response =
-      service.HandleRequestSync(EncodeSignRequest(starved));
-  EXPECT_EQ(response.status, StatusCode::kShedOverload);
+  std::promise<SignResponse> victim_promise;
+  std::future<SignResponse> victim_response = victim_promise.get_future();
+  service.HandleRequest(EncodeSignRequest(starved),
+                        [&victim_promise](SignResponse response) {
+                          victim_promise.set_value(std::move(response));
+                        });
+  // A shed is answered inline; an admitted victim would queue behind the
+  // gate, so check before opening it.
+  const bool answered_inline =
+      victim_response.wait_for(std::chrono::seconds(0)) ==
+      std::future_status::ready;
+  open_gate.set_value();
+  EXPECT_TRUE(answered_inline);
+  EXPECT_EQ(victim_response.get().status, StatusCode::kShedOverload);
   service.Wait();
   EXPECT_EQ(service.Snapshot().shed_overload, 1u);
+  EXPECT_EQ(done.load(), 4);
 }
 
 TEST(SigningServiceTest, OversizeFrameRejectedAtTransport) {

@@ -165,6 +165,10 @@ TEST(ChaosSuite, StalledWorkerAndFloodingTenantDoNotStarveHealthyTenant) {
 
   SigningService::Options options;
   options.service.workers = 4;
+  // Halves on the Algorithm-2 bit loop last milliseconds, so the flood
+  // keeps every worker busy and the stalled worker 0 is handed groups; on
+  // the kernel-backed default the awake workers drain the queue first.
+  options.service.engine_name = "alg2-ref";
   options.chaos = &chaos;
   options.admission.queue_high_watermark = 16;
   SigningService service(std::move(keystore), options);
