@@ -44,7 +44,6 @@ namespace {
 using mont::bignum::BigUInt;
 using mont::core::DeterministicExecutor;
 using mont::core::ExpService;
-using mont::core::SchedulerKind;
 using Clock = std::chrono::steady_clock;
 
 struct TenantJob {
@@ -135,7 +134,6 @@ RunResult RunOnce(const StressTrace& trace, std::size_t workers,
                   mont::obs::Tracer* tracer) {
   ExpService::Options options;
   options.workers = workers;
-  options.scheduler = SchedulerKind::kStealing;
   options.engine_cache_capacity = 6;
   options.tracer = tracer;
   DeterministicExecutor exec(options);

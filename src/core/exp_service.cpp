@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <limits>
 #include <exception>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "core/interleaved.hpp"
@@ -329,6 +330,25 @@ bool ExecutionCore::Pairable(const ExpJobOptions& options) const {
       ->caps.pairable_streams;
 }
 
+ExecutionCore::Job ExecutionCore::MakeJob(
+    BigUInt modulus, BigUInt base, BigUInt exponent, ExpJobOptions options,
+    std::function<void(const ExpResult&)> callback) const {
+  ValidateModulus(modulus);
+  Job job;
+  job.pairable = Pairable(options);
+  if (!options.exponent_blind_order.IsZero() &&
+      options.exponent_blind_bits == 0) {
+    throw std::invalid_argument(
+        "ExpService: exponent_blind_bits must be >= 1 when blinding");
+  }
+  job.spec.modulus = std::move(modulus);
+  job.spec.base = std::move(base);
+  job.spec.exponent = std::move(exponent);
+  job.spec.options = std::move(options);
+  job.callback = std::move(callback);
+  return job;
+}
+
 BigUInt ExecutionCore::EffectiveExponent(const JobSpec& spec) {
   if (spec.options.exponent_blind_order.IsZero()) return spec.exponent;
   BigUInt k;
@@ -462,50 +482,224 @@ ExecutionCore::Outcome ExecutionCore::RunGroup(
 }
 
 // ---------------------------------------------------------------------------
-// ExpService
+// The job lifecycle both shells share
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Binds the jobs.*/issues.* handles and registers the conservation law
-/// shared by the threaded service and the deterministic executor.
-template <typename Metrics>
-void BindServiceMetrics(obs::Registry& registry, Metrics* metrics) {
-  metrics->jobs_submitted = registry.GetCounter("jobs.submitted");
-  metrics->jobs_completed = registry.GetCounter("jobs.completed");
-  metrics->jobs_cancelled = registry.GetCounter("jobs.cancelled");
-  metrics->pair_issues = registry.GetCounter("issues.paired");
-  metrics->single_issues = registry.GetCounter("issues.single");
+JobMetrics::JobMetrics(obs::Registry& registry)
+    : submitted(registry.GetCounter("jobs.submitted")),
+      completed(registry.GetCounter("jobs.completed")),
+      cancelled(registry.GetCounter("jobs.cancelled")),
+      pair_issues(registry.GetCounter("issues.paired")),
+      single_issues(registry.GetCounter("issues.single")) {
   registry.AddInvariant("jobs.conservation", {"jobs.submitted"},
                         {"jobs.completed", "jobs.cancelled"});
 }
 
+void JobMetrics::CountGroup(bool paired, std::size_t jobs) {
+  // Issue accounting records what actually ran: a 2-job group whose
+  // backends could not co-schedule executed as two solo issues, never as
+  // fictitious dual-channel throughput.
+  if (paired) {
+    pair_issues.Increment();
+  } else {
+    single_issues.Add(jobs);
+  }
+}
+
+namespace {
+
+using Job = ExecutionCore::Job;
+using PendingJobs = std::unordered_map<std::uint64_t, Job>;
+
+ExpService::Options Normalized(ExpService::Options options) {
+  if (options.workers == 0) options.workers = 1;
+  if (options.max_batch == 0) options.max_batch = 1;
+  return options;
+}
+
+StealScheduler::Config SchedulerConfig(const ExpService::Options& options,
+                                       obs::Registry* registry) {
+  StealScheduler::Config config;
+  config.workers = options.workers;
+  config.enable_pairing = options.enable_pairing;
+  config.work_stealing = options.work_stealing;
+  config.unpair_timeout = options.unpair_timeout;
+  config.max_batch = options.max_batch;
+  config.registry = registry;
+  config.tracer = options.tracer;
+  return config;
+}
+
+/// The id stamped on a job's trace events: options.trace_id, or the
+/// shell-assigned job id.
+std::uint64_t TraceId(const Job& job) {
+  return job.spec.options.trace_id != 0 ? job.spec.options.trace_id : job.id;
+}
+
+/// Queues a job whose id is already assigned.  The pairing key is the
+/// operand length: any two equal-length pairable jobs can share one
+/// array's two channels.
+void EnqueueJob(Job job, std::uint64_t now, StealScheduler& sched,
+                PendingJobs& pending, JobMetrics& metrics,
+                obs::Tracer* tracer) {
+  job.submit_tick = now;
+  const std::uint64_t id = job.id;
+  const std::uint64_t key = job.spec.modulus.BitLength();
+  if (tracer != nullptr && tracer->enabled()) {
+    tracer->Instant("job.submit", TraceId(job), 0, now,
+                    {{"job", id}, {"key", key}});
+  }
+  sched.Submit(id, key, job.pairable, now);
+  metrics.submitted.Increment();
+  pending.emplace(id, std::move(job));
+}
+
+/// Moves an acquired issue's jobs out of the pending table, in group order.
+std::vector<Job> ClaimJobs(PendingJobs& pending,
+                           const StealScheduler::Issue& issue) {
+  std::vector<Job> jobs;
+  jobs.reserve(issue.count);
+  for (std::size_t i = 0; i < issue.count; ++i) {
+    auto it = pending.find(issue.ids[i]);
+    jobs.push_back(std::move(it->second));
+    pending.erase(it);
+  }
+  return jobs;
+}
+
+/// The claim-time deadline gate — the last point before engine dispatch.
+/// Moves every job whose deadline has passed at `now` out of `jobs` (the
+/// live ones keep their group order) and returns them: they consume no
+/// array time, and a pair with one expired half issues solo.
+std::vector<Job> TakeExpired(std::vector<Job>& jobs, std::uint64_t now) {
+  const auto live_end =
+      std::stable_partition(jobs.begin(), jobs.end(), [now](const Job& job) {
+        const std::uint64_t deadline = job.spec.options.deadline;
+        return deadline == 0 || now < deadline;
+      });
+  std::vector<Job> expired(std::make_move_iterator(live_end),
+                           std::make_move_iterator(jobs.end()));
+  jobs.erase(live_end, jobs.end());
+  return expired;
+}
+
+ExecutionCore::Outcome RunJobs(ExecutionCore& core,
+                               const std::vector<Job>& jobs) {
+  std::array<const ExecutionCore::JobSpec*, 2> specs{};
+  for (std::size_t i = 0; i < jobs.size(); ++i) specs[i] = &jobs[i].spec;
+  return core.RunGroup(std::span<const ExecutionCore::JobSpec* const>(
+      specs.data(), jobs.size()));
+}
+
+/// One job.run span per job of an executed group, on track `track`.
+void TraceRun(obs::Tracer* tracer, const std::vector<Job>& jobs,
+              const ExecutionCore::Outcome& outcome,
+              const StealScheduler::Issue& issue, std::uint64_t track,
+              std::uint64_t start, std::uint64_t end) {
+  if (tracer == nullptr || !tracer->enabled()) return;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const EngineStats& stats = outcome.results[i].stats;
+    tracer->Complete("job.run", TraceId(jobs[i]), track, start, end,
+                     {{"mmm_invocations", stats.mmm_invocations},
+                      {"engine_cycles", stats.engine_cycles},
+                      {"paired", outcome.paired ? 1u : 0u},
+                      {"stolen", issue.stolen ? 1u : 0u}});
+  }
+}
+
+/// One job.cancelled instant per deadline-cancelled job.
+void TraceCancelled(obs::Tracer* tracer, const std::vector<Job>& jobs,
+                    std::uint64_t track, std::uint64_t tick) {
+  if (tracer == nullptr || !tracer->enabled()) return;
+  for (const Job& job : jobs) {
+    tracer->Instant("job.cancelled", TraceId(job), track, tick,
+                    {{"job", job.id}});
+  }
+}
+
+/// Runs a job's completion hook.  Callbacks are noexcept in spirit;
+/// anything they throw is contained here.
+void RunCallback(Job& job, const ExpResult& result) {
+  if (!job.callback) return;
+  try {
+    job.callback(result);
+  } catch (...) {
+  }
+}
+
+/// Resolves an executed group.  Scheduling provenance rides on every
+/// result, so callers can audit steal/unpair decisions per job.  Every
+/// promise is fulfilled — with its value, or with the group's exception —
+/// before any callback runs, so a callback can neither withhold nor
+/// poison a partner job's future.
+void ResolveGroup(std::vector<Job>& jobs, ExecutionCore::Outcome& outcome,
+                  const StealScheduler::Issue& issue) {
+  if (outcome.error != nullptr) {
+    for (Job& job : jobs) job.promise.set_exception(outcome.error);
+    return;
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ExpResult& result = outcome.results[i];
+    result.stolen = issue.stolen;
+    result.unpaired_by_timeout = issue.unpaired_by_timeout;
+    jobs[i].promise.set_value(result);
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    RunCallback(jobs[i], outcome.results[i]);
+  }
+}
+
+/// Resolves deadline-cancelled jobs with the typed cancelled result —
+/// never an exception, so pipelined callers (CRT halves) observe the
+/// cancellation and can unwind.  Every promise, then every callback.
+void ResolveCancelled(std::vector<Job>& jobs) {
+  ExpResult cancelled;
+  cancelled.cancelled = true;
+  cancelled.stats.cancelled = 1;
+  for (Job& job : jobs) job.promise.set_value(cancelled);
+  for (Job& job : jobs) RunCallback(job, cancelled);
+}
+
+ExpService::Counters MakeCounters(const JobMetrics& metrics,
+                                  const StealScheduler& sched,
+                                  const ExecutionCore& core) {
+  ExpService::Counters counters;
+  counters.jobs_submitted = metrics.submitted.Value();
+  counters.jobs_completed = metrics.completed.Value();
+  counters.deadline_exceeded = metrics.cancelled.Value();
+  counters.pair_issues = metrics.pair_issues.Value();
+  counters.single_issues = metrics.single_issues.Value();
+  const StealScheduler::Stats stats = sched.GetStats();
+  counters.steals = stats.steals;
+  counters.holds = stats.holds;
+  counters.hold_pairs = stats.hold_pairs;
+  counters.unpair_timeouts = stats.unpair_timeouts;
+  counters.batch_acquires = stats.batch_acquires;
+  counters.max_batch_claimed = stats.max_batch_claimed;
+  counters.engine_cache_hits = core.CacheHits();
+  counters.engine_cache_misses = core.CacheMisses();
+  counters.engine_cache_evictions = core.CacheEvictions();
+  return counters;
+}
+
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// ExpService
+// ---------------------------------------------------------------------------
+
 ExpService::ExpService(Options options)
-    : options_(std::move(options)),
+    : options_(Normalized(std::move(options))),
       owned_registry_(options_.registry == nullptr
                           ? std::make_unique<obs::Registry>()
                           : nullptr),
       registry_(options_.registry != nullptr ? options_.registry
                                              : owned_registry_.get()),
       core_(options_.engine_name, options_.engine_options,
-            options_.engine_cache_capacity, options_.blind_seed, registry_) {
-  if (options_.workers == 0) options_.workers = 1;
-  if (options_.max_batch == 0) options_.max_batch = 1;
-  clock_ = options_.clock != nullptr ? options_.clock : &steady_clock_;
-  BindServiceMetrics(*registry_, &metrics_);
-  if (options_.scheduler == SchedulerKind::kStealing) {
-    StealScheduler::Config config;
-    config.workers = options_.workers;
-    config.enable_pairing = options_.enable_pairing;
-    config.work_stealing = options_.work_stealing;
-    config.unpair_timeout = options_.unpair_timeout;
-    config.max_batch = options_.max_batch;
-    config.registry = registry_;
-    config.tracer = options_.tracer;
-    sched_ = std::make_unique<StealScheduler>(config);
-  }
+            options_.engine_cache_capacity, options_.blind_seed, registry_),
+      clock_(options_.clock != nullptr ? options_.clock : &steady_clock_),
+      metrics_(*registry_),
+      sched_(SchedulerConfig(options_, registry_)) {
   // The 3l+5-per-pair credit models the C-slow variant of the array
   // schedule; a backend without pairable streams (word-serial datapaths)
   // must not report fictitious dual-channel throughput.  That is
@@ -540,24 +734,11 @@ ExpService::~ExpService() {
 
 std::uint64_t ExpService::NowTicks() const { return clock_->Now(); }
 
-std::future<ExpService::Result> ExpService::EnqueueLocked(Queued queued) {
-  Job& job = queued.job;
+std::future<ExpService::Result> ExpService::EnqueueLocked(Job job) {
   std::future<Result> future = job.promise.get_future();
-  const std::uint64_t now = NowTicks();
   job.id = next_id_++;
-  if (options_.tracer != nullptr && options_.tracer->enabled()) {
-    const std::uint64_t trace_id =
-        job.spec.options.trace_id != 0 ? job.spec.options.trace_id : job.id;
-    options_.tracer->Instant("job.submit", trace_id, 0, now,
-                             {{"job", job.id}, {"key", queued.key}});
-  }
-  if (sched_ != nullptr) {
-    sched_->Submit(job.id, queued.key, queued.pairable, now);
-  } else {
-    queue_.Push(job.id, queued.key);
-  }
-  pending_.emplace(job.id, std::move(job));
-  metrics_.jobs_submitted.Increment();
+  EnqueueJob(std::move(job), NowTicks(), sched_, pending_, metrics_,
+             options_.tracer);
   return future;
 }
 
@@ -574,13 +755,13 @@ std::future<ExpService::Result> ExpService::Submit(BigUInt modulus,
                                                    BigUInt exponent,
                                                    JobOptions job_options,
                                                    Callback callback) {
-  Queued queued = MakeJob(std::move(modulus), std::move(base),
+  Job job = core_.MakeJob(std::move(modulus), std::move(base),
                           std::move(exponent), std::move(job_options),
                           std::move(callback));
   std::future<Result> future;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    future = EnqueueLocked(std::move(queued));
+    future = EnqueueLocked(std::move(job));
   }
   cv_.notify_one();
   return future;
@@ -592,10 +773,10 @@ ExpService::SubmitTogether(BigUInt modulus_a, BigUInt base_a,
                            BigUInt modulus_b, BigUInt base_b,
                            BigUInt exponent_b, Callback callback_b,
                            const JobOptions& options) {
-  Queued a = MakeJob(std::move(modulus_a), std::move(base_a),
-                     std::move(exponent_a), options, std::move(callback_a));
-  Queued b = MakeJob(std::move(modulus_b), std::move(base_b),
-                     std::move(exponent_b), options, std::move(callback_b));
+  Job a = core_.MakeJob(std::move(modulus_a), std::move(base_a),
+                        std::move(exponent_a), options, std::move(callback_a));
+  Job b = core_.MakeJob(std::move(modulus_b), std::move(base_b),
+                        std::move(exponent_b), options, std::move(callback_b));
   std::pair<std::future<Result>, std::future<Result>> futures;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -607,37 +788,6 @@ ExpService::SubmitTogether(BigUInt modulus_a, BigUInt base_a,
   return futures;
 }
 
-ExpService::Queued ExpService::MakeJob(BigUInt modulus, BigUInt base,
-                                       BigUInt exponent, JobOptions job_options,
-                                       Callback callback) {
-  core_.ValidateModulus(modulus);
-  const bool pairable = core_.Pairable(job_options);
-  if (!job_options.exponent_blind_order.IsZero() &&
-      job_options.exponent_blind_bits == 0) {
-    throw std::invalid_argument(
-        "ExpService: exponent_blind_bits must be >= 1 when blinding");
-  }
-  Queued queued;
-  // Opportunistic pairing key: the operand length — any two jobs of equal
-  // l can share one array's two channels.  Under the v1 shared queue a
-  // job on a backend without pairable streams gets a key of its own
-  // instead (the v2 scheduler takes the pairable flag directly), so the
-  // scheduler never hands it a partner its datapath cannot co-schedule.
-  queued.key = modulus.BitLength();
-  queued.pairable = pairable;
-  if (!pairable && sched_ == nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    queued.key = (std::uint64_t{1} << 62) | next_solo_key_++;
-  }
-  Job& job = queued.job;
-  job.spec.modulus = std::move(modulus);
-  job.spec.base = std::move(base);
-  job.spec.exponent = std::move(exponent);
-  job.spec.options = std::move(job_options);
-  job.callback = std::move(callback);
-  return queued;
-}
-
 std::vector<std::future<ExpService::Result>> ExpService::SubmitBatch(
     const BigUInt& modulus, std::span<const BigUInt> bases,
     std::span<const BigUInt> exponents) {
@@ -645,18 +795,16 @@ std::vector<std::future<ExpService::Result>> ExpService::SubmitBatch(
     throw std::invalid_argument(
         "ExpService::SubmitBatch: bases/exponents size mismatch");
   }
-  std::vector<Queued> batch;
+  std::vector<Job> batch;
   batch.reserve(bases.size());
   for (std::size_t i = 0; i < bases.size(); ++i) {
-    batch.push_back(MakeJob(modulus, bases[i], exponents[i], {}, {}));
+    batch.push_back(core_.MakeJob(modulus, bases[i], exponents[i], {}, {}));
   }
   std::vector<std::future<Result>> futures;
   futures.reserve(batch.size());
   {
     std::lock_guard<std::mutex> lk(mu_);
-    for (Queued& queued : batch) {
-      futures.push_back(EnqueueLocked(std::move(queued)));
-    }
+    for (Job& job : batch) futures.push_back(EnqueueLocked(std::move(job)));
   }
   cv_.notify_all();
   return futures;
@@ -665,56 +813,39 @@ std::vector<std::future<ExpService::Result>> ExpService::SubmitBatch(
 std::pair<std::future<ExpService::Result>, std::future<ExpService::Result>>
 ExpService::SubmitPair(BigUInt modulus_a, BigUInt base_a, BigUInt exponent_a,
                        BigUInt modulus_b, BigUInt base_b, BigUInt exponent_b) {
-  core_.ValidateModulus(modulus_a);
-  core_.ValidateModulus(modulus_b);
-  if (modulus_a.BitLength() != modulus_b.BitLength()) {
-    // Unequal lengths cannot share an array; run them as plain jobs.
-    auto first = Submit(std::move(modulus_a), std::move(base_a),
-                        std::move(exponent_a));
-    auto second = Submit(std::move(modulus_b), std::move(base_b),
-                         std::move(exponent_b));
-    return {std::move(first), std::move(second)};
-  }
-  Job job_a, job_b;
-  job_a.spec.modulus = std::move(modulus_a);
-  job_a.spec.base = std::move(base_a);
-  job_a.spec.exponent = std::move(exponent_a);
-  job_b.spec.modulus = std::move(modulus_b);
-  job_b.spec.base = std::move(base_b);
-  job_b.spec.exponent = std::move(exponent_b);
-  std::future<Result> first = job_a.promise.get_future();
-  std::future<Result> second = job_b.promise.get_future();
+  Job a = core_.MakeJob(std::move(modulus_a), std::move(base_a),
+                        std::move(exponent_a), {}, {});
+  Job b = core_.MakeJob(std::move(modulus_b), std::move(base_b),
+                        std::move(exponent_b), {}, {});
+  std::pair<std::future<Result>, std::future<Result>> futures;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    job_a.id = next_id_++;
-    job_b.id = next_id_++;
-    if (options_.tracer != nullptr && options_.tracer->enabled()) {
-      const std::uint64_t now = NowTicks();
-      options_.tracer->Instant("job.submit", job_a.id, 0, now,
-                               {{"job", job_a.id}, {"bonded", 1}});
-      options_.tracer->Instant("job.submit", job_b.id, 0, now,
-                               {{"job", job_b.id}, {"bonded", 1}});
-    }
-    if (sched_ != nullptr) {
-      // The v2 scheduler forms the bonded group at submit time: a worker
-      // can never observe one half without the other.
-      sched_->SubmitBonded(job_a.id, job_b.id, NowTicks());
+    if (a.spec.modulus.BitLength() != b.spec.modulus.BitLength()) {
+      // Unequal lengths cannot share an array; run them as plain jobs.
+      futures.first = EnqueueLocked(std::move(a));
+      futures.second = EnqueueLocked(std::move(b));
     } else {
-      // A bond key is unique to the pair (top bit marks the bonded
-      // keyspace), so the partners can only ever pair with each other.
-      // Both jobs enter the queue under one lock: a worker must never
-      // observe one half of a bond without the other, or the first half
-      // would issue alone.
-      const std::uint64_t key = (std::uint64_t{1} << 63) | next_bond_key_++;
-      queue_.Push(job_a.id, key, /*bonded=*/true);
-      queue_.Push(job_b.id, key, /*bonded=*/true);
+      futures.first = a.promise.get_future();
+      futures.second = b.promise.get_future();
+      a.id = next_id_++;
+      b.id = next_id_++;
+      const std::uint64_t now = NowTicks();
+      if (options_.tracer != nullptr && options_.tracer->enabled()) {
+        options_.tracer->Instant("job.submit", a.id, 0, now,
+                                 {{"job", a.id}, {"bonded", 1}});
+        options_.tracer->Instant("job.submit", b.id, 0, now,
+                                 {{"job", b.id}, {"bonded", 1}});
+      }
+      // The scheduler forms the bonded group at submit time: a worker can
+      // never observe one half without the other.
+      sched_.SubmitBonded(a.id, b.id, now);
+      pending_.emplace(a.id, std::move(a));
+      pending_.emplace(b.id, std::move(b));
+      metrics_.submitted.Add(2);
     }
-    pending_.emplace(job_a.id, std::move(job_a));
-    pending_.emplace(job_b.id, std::move(job_b));
-    metrics_.jobs_submitted.Add(2);
   }
   cv_.notify_all();
-  return {std::move(first), std::move(second)};
+  return futures;
 }
 
 void ExpService::Post(std::function<void()> continuation) {
@@ -725,79 +856,37 @@ void ExpService::Post(std::function<void()> continuation) {
   cont_cv_.notify_one();
 }
 
-bool ExpService::QueueDrainedLocked() const {
-  const bool queue_empty =
-      sched_ != nullptr ? sched_->Idle() : queue_.Empty();
-  return queue_empty && in_flight_ == 0;
-}
-
 void ExpService::Wait() {
   std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [this] { return QueueDrainedLocked(); });
+  idle_cv_.wait(lk, [this] { return DrainedLocked(); });
 }
 
 ExpService::Counters ExpService::Snapshot() const {
-  Counters counters;
-  counters.jobs_submitted = metrics_.jobs_submitted.Value();
-  counters.jobs_completed = metrics_.jobs_completed.Value();
-  counters.deadline_exceeded = metrics_.jobs_cancelled.Value();
-  counters.pair_issues = metrics_.pair_issues.Value();
-  counters.single_issues = metrics_.single_issues.Value();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (sched_ != nullptr) {
-      const StealScheduler::Stats stats = sched_->GetStats();
-      counters.steals = stats.steals;
-      counters.holds = stats.holds;
-      counters.hold_pairs = stats.hold_pairs;
-      counters.unpair_timeouts = stats.unpair_timeouts;
-      counters.batch_acquires = stats.batch_acquires;
-      counters.max_batch_claimed = stats.max_batch_claimed;
-    }
-  }
-  counters.engine_cache_hits = core_.CacheHits();
-  counters.engine_cache_misses = core_.CacheMisses();
-  counters.engine_cache_evictions = core_.CacheEvictions();
-  return counters;
+  return MakeCounters(metrics_, sched_, core_);
 }
 
 bool ExpService::AcquireIssues(std::size_t index,
                                std::unique_lock<std::mutex>& lk,
                                std::vector<StealScheduler::Issue>* issues) {
   for (;;) {
-    if (sched_ != nullptr) {
-      // While draining, every held job's deadline is treated as expired
-      // so nothing waits out a timeout the pool no longer needs.
-      const std::uint64_t now =
-          stop_ ? std::numeric_limits<std::uint64_t>::max() : NowTicks();
-      sched_->AcquireBatch(index, now, issues);
-      if (!issues->empty()) return true;
-      if (stop_) return false;
-      const auto deadline = sched_->NextHoldDeadline();
-      if (!deadline.has_value()) {
-        cv_.wait(lk);
-      } else if (options_.clock != nullptr) {
-        // An injected clock's ticks don't map onto wall time, so the
-        // timed wait degrades to a poll (test-only configuration).
-        cv_.wait_for(lk, std::chrono::microseconds(100));
-      } else {
-        cv_.wait_until(lk, std::chrono::steady_clock::time_point(
-                               std::chrono::nanoseconds(*deadline)));
-      }
-      continue;
+    // While draining, every held job's deadline is treated as expired so
+    // nothing waits out a timeout the pool no longer needs.
+    const std::uint64_t now =
+        stop_ ? std::numeric_limits<std::uint64_t>::max() : NowTicks();
+    sched_.AcquireBatch(index, now, issues);
+    if (!issues->empty()) return true;
+    if (stop_) return false;
+    const auto deadline = sched_.NextHoldDeadline();
+    if (!deadline.has_value()) {
+      cv_.wait(lk);
+    } else if (options_.clock != nullptr) {
+      // An injected clock's ticks don't map onto wall time, so the timed
+      // wait degrades to a poll (test-only configuration).
+      cv_.wait_for(lk, std::chrono::microseconds(100));
+    } else {
+      cv_.wait_until(lk, std::chrono::steady_clock::time_point(
+                             std::chrono::nanoseconds(*deadline)));
     }
-    cv_.wait(lk, [this] { return stop_ || !queue_.Empty(); });
-    if (queue_.Empty()) {
-      if (stop_) return false;
-      continue;
-    }
-    const auto popped = queue_.Pop(options_.enable_pairing);
-    StealScheduler::Issue issue;
-    issue.ids = popped->ids;
-    issue.count = popped->count;
-    issue.bonded = popped->bonded;
-    issues->push_back(issue);
-    return true;
   }
 }
 
@@ -812,20 +901,10 @@ void ExpService::WorkerLoop(std::size_t index) {
     if (!AcquireIssues(index, lk, &issues)) return;
     std::vector<Unit> units;
     units.reserve(issues.size());
-    std::size_t claimed = 0;
     for (const StealScheduler::Issue& issue : issues) {
-      Unit unit;
-      unit.issue = issue;
-      unit.jobs.reserve(issue.count);
-      for (std::size_t i = 0; i < issue.count; ++i) {
-        auto it = pending_.find(issue.ids[i]);
-        unit.jobs.push_back(std::move(it->second));
-        pending_.erase(it);
-      }
-      claimed += issue.count;
-      units.push_back(std::move(unit));
+      units.push_back(Unit{issue, ClaimJobs(pending_, issue)});
+      in_flight_ += issue.count;
     }
-    in_flight_ += claimed;
     lk.unlock();
 
     for (Unit& unit : units) {
@@ -838,131 +917,37 @@ void ExpService::WorkerLoop(std::size_t index) {
         } catch (...) {
         }
       }
-      // Deadline gate: claim time is the last point before engine
-      // dispatch.  Expired jobs are dropped here — they consume no array
-      // time, their futures resolve with ExpResult::cancelled, and their
-      // callbacks still fire.  A pair with one expired half issues solo.
-      std::vector<Job> expired;
-      {
-        const std::uint64_t now_ticks = NowTicks();
-        const auto live_end = std::stable_partition(
-            unit.jobs.begin(), unit.jobs.end(), [&](const Job& job) {
-              const std::uint64_t deadline = job.spec.options.deadline;
-              return deadline == 0 || now_ticks < deadline;
-            });
-        for (auto it = live_end; it != unit.jobs.end(); ++it) {
-          expired.push_back(std::move(*it));
-        }
-        unit.jobs.erase(live_end, unit.jobs.end());
-      }
-      std::array<const ExecutionCore::JobSpec*, 2> specs{};
-      for (std::size_t i = 0; i < unit.jobs.size(); ++i) {
-        specs[i] = &unit.jobs[i].spec;
-      }
-      ExecutionCore::Outcome outcome;
+      std::vector<Job> expired = TakeExpired(unit.jobs, NowTicks());
       obs::Tracer* const tracer = options_.tracer;
       const bool tracing = tracer != nullptr && tracer->enabled();
-      std::uint64_t run_start = 0;
-      if (!unit.jobs.empty()) {
-        if (tracing) run_start = NowTicks();
-        outcome = core_.RunGroup(
-            std::span<const ExecutionCore::JobSpec* const>(specs.data(),
-                                                           unit.jobs.size()));
-      }
-      // Scheduling provenance rides on every result, so callers can
-      // audit steal/unpair decisions per job, not just in aggregate.
-      for (ExpResult& result : outcome.results) {
-        result.stolen = unit.issue.stolen;
-        result.unpaired_by_timeout = unit.issue.unpaired_by_timeout;
-      }
+      const std::uint64_t run_start = tracing ? NowTicks() : 0;
+      ExecutionCore::Outcome outcome;
+      if (!unit.jobs.empty()) outcome = RunJobs(core_, unit.jobs);
       if (tracing) {
         const std::uint64_t run_end = NowTicks();
-        for (std::size_t i = 0; i < unit.jobs.size(); ++i) {
-          const Job& job = unit.jobs[i];
-          const std::uint64_t trace_id = job.spec.options.trace_id != 0
-                                             ? job.spec.options.trace_id
-                                             : job.id;
-          const EngineStats& stats = outcome.results[i].stats;
-          tracer->Complete("job.run", trace_id, index, run_start, run_end,
-                           {{"mmm_invocations", stats.mmm_invocations},
-                            {"engine_cycles", stats.engine_cycles},
-                            {"paired", outcome.paired ? 1u : 0u},
-                            {"stolen", unit.issue.stolen ? 1u : 0u}});
-        }
-        for (const Job& job : expired) {
-          const std::uint64_t trace_id = job.spec.options.trace_id != 0
-                                             ? job.spec.options.trace_id
-                                             : job.id;
-          tracer->Instant("job.cancelled", trace_id, index, run_end,
-                          {{"job", job.id}});
-        }
+        TraceRun(tracer, unit.jobs, outcome, unit.issue, index, run_start,
+                 run_end);
+        TraceCancelled(tracer, expired, index, run_end);
       }
-      // Issue accounting records what actually ran — a 2-job group whose
-      // backends could not co-schedule executes (and is counted) as two
-      // solo issues, never as fictitious dual-channel throughput.
-      // Counters (and the scheduler's in-flight accounting, which gates
-      // the hold-for-pairing heuristic) are published before the
+      // Counters — and the scheduler's in-flight accounting, which gates
+      // the hold-for-pairing heuristic — are published before the
       // promises resolve, so a caller observing a completed future
-      // observes its issue already counted.
+      // observes its issue already counted, and a caller submitting right
+      // after .get() sees an idle pool.
       lk.lock();
-      if (outcome.paired) {
-        metrics_.pair_issues.Increment();
-      } else {
-        metrics_.single_issues.Add(unit.jobs.size());
-      }
-      metrics_.jobs_cancelled.Add(expired.size());
-      // The scheduler's in-flight accounting (which gates the
-      // hold-for-pairing heuristic) retires before the promises resolve,
-      // so a caller submitting right after .get() sees an idle pool.
-      if (sched_ != nullptr) sched_->OnGroupDone();
+      metrics_.CountGroup(outcome.paired, unit.jobs.size());
+      metrics_.cancelled.Add(expired.size());
+      sched_.OnGroupDone();
       lk.unlock();
 
-      // Expired jobs resolve first (promises before any callback), with
-      // the typed cancelled result — never an exception, so pipelined
-      // callers (CRT halves) observe the cancellation and can unwind.
-      ExpResult cancelled_result;
-      cancelled_result.cancelled = true;
-      cancelled_result.stats.cancelled = 1;
-      for (Job& job : expired) {
-        job.promise.set_value(cancelled_result);
-      }
-      if (outcome.error != nullptr) {
-        for (Job& job : unit.jobs) {
-          try {
-            job.promise.set_exception(outcome.error);
-          } catch (const std::future_error&) {
-            // This promise was already fulfilled before the failure.
-          }
-        }
-      } else {
-        // Every promise in the group is fulfilled before any callback
-        // runs, so a misbehaving callback can neither withhold nor
-        // poison a partner job's future (callbacks are documented
-        // noexcept-in-spirit; anything they throw is contained here).
-        for (std::size_t i = 0; i < unit.jobs.size(); ++i) {
-          unit.jobs[i].promise.set_value(outcome.results[i]);
-        }
-        for (std::size_t i = 0; i < unit.jobs.size(); ++i) {
-          if (!unit.jobs[i].callback) continue;
-          try {
-            unit.jobs[i].callback(outcome.results[i]);
-          } catch (...) {
-          }
-        }
-      }
-      for (Job& job : expired) {
-        if (!job.callback) continue;
-        try {
-          job.callback(cancelled_result);
-        } catch (...) {
-        }
-      }
+      ResolveCancelled(expired);
+      ResolveGroup(unit.jobs, outcome, unit.issue);
       // jobs_completed / in_flight_ retire only after the callbacks, so
       // Wait() returning guarantees every completion hook has run.
       lk.lock();
-      metrics_.jobs_completed.Add(unit.jobs.size());
+      metrics_.completed.Add(unit.jobs.size());
       in_flight_ -= unit.jobs.size() + expired.size();
-      const bool drained = QueueDrainedLocked();
+      const bool drained = DrainedLocked();
       lk.unlock();
       if (drained) idle_cv_.notify_all();
     }
@@ -997,34 +982,17 @@ void ExpService::ContinuationLoop() {
 // ---------------------------------------------------------------------------
 
 DeterministicExecutor::DeterministicExecutor(ExpService::Options options)
-    : options_(std::move(options)),
+    : options_(Normalized(std::move(options))),
       owned_registry_(options_.registry == nullptr
                           ? std::make_unique<obs::Registry>()
                           : nullptr),
       registry_(options_.registry != nullptr ? options_.registry
                                              : owned_registry_.get()),
       core_(options_.engine_name, options_.engine_options,
-            options_.engine_cache_capacity, options_.blind_seed, registry_) {
-  if (options_.workers == 0) options_.workers = 1;
-  if (options_.max_batch == 0) options_.max_batch = 1;
-  BindServiceMetrics(*registry_, &metrics_);
-  if (options_.scheduler == SchedulerKind::kStealing) {
-    StealScheduler::Config config;
-    config.workers = options_.workers;
-    config.enable_pairing = options_.enable_pairing;
-    config.work_stealing = options_.work_stealing;
-    config.unpair_timeout = options_.unpair_timeout;
-    config.max_batch = options_.max_batch;
-    config.registry = registry_;
-    config.tracer = options_.tracer;
-    sched_ = std::make_unique<StealScheduler>(config);
-  }
-  worker_busy_.assign(options_.workers, false);
-}
-
-std::uint64_t DeterministicExecutor::TraceId(const Job& job) {
-  return job.spec.options.trace_id != 0 ? job.spec.options.trace_id : job.id;
-}
+            options_.engine_cache_capacity, options_.blind_seed, registry_),
+      metrics_(*registry_),
+      sched_(SchedulerConfig(options_, registry_)),
+      worker_busy_(options_.workers, false) {}
 
 void DeterministicExecutor::Schedule(std::uint64_t tick,
                                      std::function<void()> action) {
@@ -1035,49 +1003,19 @@ void DeterministicExecutor::Schedule(std::uint64_t tick,
   events_.push(std::move(event));
 }
 
-void DeterministicExecutor::EnterQueue(Job job, std::uint64_t key,
-                                       bool pairable) {
-  job.submit_tick = now_;
-  const std::uint64_t id = job.id;
-  metrics_.jobs_submitted.Increment();
-  if (options_.tracer != nullptr && options_.tracer->enabled()) {
-    options_.tracer->Instant("job.submit", TraceId(job), 0, now_,
-                             {{"job", id}, {"key", key}});
-  }
-  if (sched_ != nullptr) {
-    sched_->Submit(id, key, pairable, now_);
-  } else {
-    queue_.Push(id, key);
-  }
-  pending_.emplace(id, std::move(job));
-}
-
 std::future<DeterministicExecutor::Result> DeterministicExecutor::SubmitAt(
     std::uint64_t tick, BigUInt modulus, BigUInt base, BigUInt exponent,
     ExpJobOptions job_options, Callback callback) {
-  core_.ValidateModulus(modulus);
-  const bool pairable = core_.Pairable(job_options);
-  if (!job_options.exponent_blind_order.IsZero() &&
-      job_options.exponent_blind_bits == 0) {
-    throw std::invalid_argument(
-        "ExpService: exponent_blind_bits must be >= 1 when blinding");
-  }
-  auto job = std::make_shared<Job>();
+  auto job = std::make_shared<Job>(core_.MakeJob(
+      std::move(modulus), std::move(base), std::move(exponent),
+      std::move(job_options), std::move(callback)));
   job->id = next_id_++;
-  job->spec.modulus = std::move(modulus);
-  job->spec.base = std::move(base);
-  job->spec.exponent = std::move(exponent);
-  job->spec.options = std::move(job_options);
-  job->callback = std::move(callback);
   std::future<Result> future = job->promise.get_future();
-  std::uint64_t key = job->spec.modulus.BitLength();
-  if (!pairable && sched_ == nullptr) {
-    key = (std::uint64_t{1} << 62) | next_solo_key_++;
-  }
   const std::uint64_t deadline = job->spec.options.deadline;
   const std::uint64_t id = job->id;
-  Schedule(tick, [this, job, key, pairable] {
-    EnterQueue(std::move(*job), key, pairable);
+  Schedule(tick, [this, job] {
+    EnqueueJob(std::move(*job), now_, sched_, pending_, metrics_,
+               options_.tracer);
     TryDispatch();
   });
   if (deadline != 0) {
@@ -1092,88 +1030,26 @@ std::future<DeterministicExecutor::Result> DeterministicExecutor::SubmitAt(
 void DeterministicExecutor::CancelIfQueued(std::uint64_t id) {
   const auto it = pending_.find(id);
   if (it == pending_.end()) return;  // already claimed by a worker
-  const bool removed =
-      sched_ != nullptr ? sched_->Cancel(id) : queue_.Remove(id);
-  if (!removed) return;
-  Job job = std::move(it->second);
+  if (!sched_.Cancel(id)) return;
+  std::vector<Job> cancelled;
+  cancelled.push_back(std::move(it->second));
   pending_.erase(it);
-  FinishCancelled(std::move(job));
+  FinishCancelled(cancelled);
 }
 
-void DeterministicExecutor::FinishCancelled(Job job) {
-  metrics_.jobs_cancelled.Increment();
-  if (options_.tracer != nullptr && options_.tracer->enabled()) {
-    options_.tracer->Instant("job.cancelled", TraceId(job), 0, now_,
-                             {{"job", job.id}});
+void DeterministicExecutor::FinishCancelled(std::vector<Job>& jobs) {
+  metrics_.cancelled.Add(jobs.size());
+  TraceCancelled(options_.tracer, jobs, 0, now_);
+  for (const Job& job : jobs) {
+    JobRecord record;
+    record.id = job.id;
+    record.submit_tick = job.submit_tick;
+    record.start_tick = now_;
+    record.finish_tick = now_;
+    record.cancelled = true;
+    records_.push_back(record);
   }
-  JobRecord record;
-  record.id = job.id;
-  record.submit_tick = job.submit_tick;
-  record.start_tick = now_;
-  record.finish_tick = now_;
-  record.cancelled = true;
-  records_.push_back(record);
-  ExpResult result;
-  result.cancelled = true;
-  result.stats.cancelled = 1;
-  job.promise.set_value(result);
-  if (job.callback) {
-    try {
-      job.callback(result);
-    } catch (...) {
-    }
-  }
-}
-
-std::pair<std::future<DeterministicExecutor::Result>,
-          std::future<DeterministicExecutor::Result>>
-DeterministicExecutor::SubmitPairAt(std::uint64_t tick, BigUInt modulus_a,
-                                    BigUInt base_a, BigUInt exponent_a,
-                                    BigUInt modulus_b, BigUInt base_b,
-                                    BigUInt exponent_b) {
-  core_.ValidateModulus(modulus_a);
-  core_.ValidateModulus(modulus_b);
-  if (modulus_a.BitLength() != modulus_b.BitLength()) {
-    auto first = SubmitAt(tick, std::move(modulus_a), std::move(base_a),
-                          std::move(exponent_a));
-    auto second = SubmitAt(tick, std::move(modulus_b), std::move(base_b),
-                           std::move(exponent_b));
-    return {std::move(first), std::move(second)};
-  }
-  auto job_a = std::make_shared<Job>();
-  auto job_b = std::make_shared<Job>();
-  job_a->id = next_id_++;
-  job_b->id = next_id_++;
-  job_a->spec.modulus = std::move(modulus_a);
-  job_a->spec.base = std::move(base_a);
-  job_a->spec.exponent = std::move(exponent_a);
-  job_b->spec.modulus = std::move(modulus_b);
-  job_b->spec.base = std::move(base_b);
-  job_b->spec.exponent = std::move(exponent_b);
-  std::future<Result> first = job_a->promise.get_future();
-  std::future<Result> second = job_b->promise.get_future();
-  Schedule(tick, [this, job_a, job_b] {
-    job_a->submit_tick = now_;
-    job_b->submit_tick = now_;
-    metrics_.jobs_submitted.Add(2);
-    if (options_.tracer != nullptr && options_.tracer->enabled()) {
-      options_.tracer->Instant("job.submit", TraceId(*job_a), 0, now_,
-                               {{"job", job_a->id}, {"bonded", 1}});
-      options_.tracer->Instant("job.submit", TraceId(*job_b), 0, now_,
-                               {{"job", job_b->id}, {"bonded", 1}});
-    }
-    if (sched_ != nullptr) {
-      sched_->SubmitBonded(job_a->id, job_b->id, now_);
-    } else {
-      const std::uint64_t key = (std::uint64_t{1} << 63) | next_bond_key_++;
-      queue_.Push(job_a->id, key, /*bonded=*/true);
-      queue_.Push(job_b->id, key, /*bonded=*/true);
-    }
-    pending_.emplace(job_a->id, std::move(*job_a));
-    pending_.emplace(job_b->id, std::move(*job_b));
-    TryDispatch();
-  });
-  return {std::move(first), std::move(second)};
+  ResolveCancelled(jobs);
 }
 
 void DeterministicExecutor::PostAt(std::uint64_t tick,
@@ -1186,30 +1062,11 @@ void DeterministicExecutor::PostAt(std::uint64_t tick,
   });
 }
 
-std::vector<StealScheduler::Issue> DeterministicExecutor::AcquireFor(
-    std::size_t worker) {
-  std::vector<StealScheduler::Issue> issues;
-  if (sched_ != nullptr) {
-    sched_->AcquireBatch(worker, now_, &issues);
-    return issues;
-  }
-  const auto popped = queue_.Pop(options_.enable_pairing);
-  if (popped.has_value()) {
-    StealScheduler::Issue issue;
-    issue.ids = popped->ids;
-    issue.count = popped->count;
-    issue.bonded = popped->bonded;
-    issues.push_back(issue);
-  }
-  return issues;
-}
-
 void DeterministicExecutor::ScheduleHoldWake() {
-  if (sched_ == nullptr) return;
   bool any_idle = false;
   for (const bool busy : worker_busy_) any_idle = any_idle || !busy;
   if (!any_idle) return;
-  const auto deadline = sched_->NextHoldDeadline();
+  const auto deadline = sched_.NextHoldDeadline();
   if (!deadline.has_value()) return;
   const std::uint64_t tick = std::max(*deadline, now_);
   if (hold_wake_scheduled_ && hold_wake_tick_ <= tick) return;
@@ -1233,7 +1090,8 @@ void DeterministicExecutor::TryDispatch() {
     progress = false;
     for (std::size_t w = 0; w < worker_busy_.size(); ++w) {
       if (worker_busy_[w]) continue;
-      std::vector<StealScheduler::Issue> issues = AcquireFor(w);
+      std::vector<StealScheduler::Issue> issues;
+      sched_.AcquireBatch(w, now_, &issues);
       if (issues.empty()) continue;
       progress = true;
       worker_busy_[w] = true;
@@ -1241,42 +1099,21 @@ void DeterministicExecutor::TryDispatch() {
       for (const StealScheduler::Issue& issue : issues) {
         auto unit = std::make_shared<Unit>();
         unit->issue = issue;
-        unit->jobs.reserve(issue.count);
-        for (std::size_t i = 0; i < issue.count; ++i) {
-          auto it = pending_.find(issue.ids[i]);
-          unit->jobs.push_back(std::move(it->second));
-          pending_.erase(it);
-        }
-        // Claim-time deadline gate (mirrors the threaded worker): a job
-        // claimed at the very tick its deadline fires — before the
+        unit->jobs = ClaimJobs(pending_, issue);
+        // A job claimed at the very tick its deadline fires — before the
         // cancellation event ran — is still cancelled, never dispatched.
-        {
-          const auto live_end = std::stable_partition(
-              unit->jobs.begin(), unit->jobs.end(), [this](const Job& job) {
-                const std::uint64_t deadline = job.spec.options.deadline;
-                return deadline == 0 || now_ < deadline;
-              });
-          for (auto it = live_end; it != unit->jobs.end(); ++it) {
-            FinishCancelled(std::move(*it));
-          }
-          unit->jobs.erase(live_end, unit->jobs.end());
-        }
+        std::vector<Job> expired = TakeExpired(unit->jobs, now_);
+        FinishCancelled(expired);
         if (unit->jobs.empty()) {
           // The whole group expired: retire it without occupying the
           // worker's virtual array for any ticks.
-          if (sched_ != nullptr) sched_->OnGroupDone();
+          sched_.OnGroupDone();
           continue;
-        }
-        std::array<const ExecutionCore::JobSpec*, 2> specs{};
-        for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
-          specs[i] = &unit->jobs[i].spec;
         }
         // The values are computed eagerly (they are time-independent);
         // only the *completion* is timestamped, at the group's modelled
         // array occupancy past its start tick.
-        unit->outcome = core_.RunGroup(
-            std::span<const ExecutionCore::JobSpec* const>(
-                specs.data(), unit->jobs.size()));
+        unit->outcome = RunJobs(core_, unit->jobs);
         std::uint64_t duration = 0;
         if (unit->outcome.error == nullptr) {
           if (unit->outcome.paired) {
@@ -1290,28 +1127,15 @@ void DeterministicExecutor::TryDispatch() {
         unit->start = start;
         const std::uint64_t finish = start + duration;
         Schedule(finish, [this, unit, w] {
-          if (unit->outcome.paired) {
-            metrics_.pair_issues.Increment();
-          } else {
-            metrics_.single_issues.Add(unit->jobs.size());
-          }
-          metrics_.jobs_completed.Add(unit->jobs.size());
-          if (sched_ != nullptr) sched_->OnGroupDone();
-          if (options_.tracer != nullptr && options_.tracer->enabled()) {
-            for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
-              const EngineStats& stats = unit->outcome.results[i].stats;
-              options_.tracer->Complete(
-                  "job.run", TraceId(unit->jobs[i]), w, unit->start, now_,
-                  {{"mmm_invocations", stats.mmm_invocations},
-                   {"engine_cycles", stats.engine_cycles},
-                   {"paired", unit->outcome.paired ? 1u : 0u},
-                   {"stolen", unit->issue.stolen ? 1u : 0u}});
-            }
-          }
-          for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
+          metrics_.CountGroup(unit->outcome.paired, unit->jobs.size());
+          metrics_.completed.Add(unit->jobs.size());
+          sched_.OnGroupDone();
+          TraceRun(options_.tracer, unit->jobs, unit->outcome, unit->issue, w,
+                   unit->start, now_);
+          for (const Job& job : unit->jobs) {
             JobRecord record;
-            record.id = unit->jobs[i].id;
-            record.submit_tick = unit->jobs[i].submit_tick;
+            record.id = job.id;
+            record.submit_tick = job.submit_tick;
             record.start_tick = unit->start;
             record.finish_tick = now_;
             record.worker = w;
@@ -1321,28 +1145,7 @@ void DeterministicExecutor::TryDispatch() {
             record.bonded = unit->issue.bonded;
             records_.push_back(record);
           }
-          if (unit->outcome.error != nullptr) {
-            for (Job& job : unit->jobs) {
-              try {
-                job.promise.set_exception(unit->outcome.error);
-              } catch (const std::future_error&) {
-              }
-            }
-            return;
-          }
-          for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
-            ExpResult& result = unit->outcome.results[i];
-            result.stolen = unit->issue.stolen;
-            result.unpaired_by_timeout = unit->issue.unpaired_by_timeout;
-            unit->jobs[i].promise.set_value(result);
-          }
-          for (std::size_t i = 0; i < unit->jobs.size(); ++i) {
-            if (!unit->jobs[i].callback) continue;
-            try {
-              unit->jobs[i].callback(unit->outcome.results[i]);
-            } catch (...) {
-            }
-          }
+          ResolveGroup(unit->jobs, unit->outcome, unit->issue);
         });
         start = finish;
       }
@@ -1368,25 +1171,7 @@ void DeterministicExecutor::RunUntilIdle() {
 }
 
 ExpService::Counters DeterministicExecutor::Snapshot() const {
-  ExpService::Counters counters;
-  counters.jobs_submitted = metrics_.jobs_submitted.Value();
-  counters.jobs_completed = metrics_.jobs_completed.Value();
-  counters.deadline_exceeded = metrics_.jobs_cancelled.Value();
-  counters.pair_issues = metrics_.pair_issues.Value();
-  counters.single_issues = metrics_.single_issues.Value();
-  if (sched_ != nullptr) {
-    const StealScheduler::Stats stats = sched_->GetStats();
-    counters.steals = stats.steals;
-    counters.holds = stats.holds;
-    counters.hold_pairs = stats.hold_pairs;
-    counters.unpair_timeouts = stats.unpair_timeouts;
-    counters.batch_acquires = stats.batch_acquires;
-    counters.max_batch_claimed = stats.max_batch_claimed;
-  }
-  counters.engine_cache_hits = core_.CacheHits();
-  counters.engine_cache_misses = core_.CacheMisses();
-  counters.engine_cache_evictions = core_.CacheEvictions();
-  return counters;
+  return MakeCounters(metrics_, sched_, core_);
 }
 
 }  // namespace mont::core

@@ -14,18 +14,19 @@
 //   * a worker pool whose per-modulus multiplication engines are
 //     LRU-cached, so repeated traffic on one key pays the R^2-mod-N
 //     precomputation once (core/schedule.hpp LruCache);
-//   * the v2 scheduler (core/schedule.hpp StealScheduler): per-worker
+//   * one scheduler (core/schedule.hpp StealScheduler): per-worker
 //     deques with cross-worker work stealing, hold-for-pairing with an
 //     age-based unpair timeout, and adaptive batch claims — two queued
 //     jobs of equal operand length are issued together onto one
 //     dual-channel interleaved array, where each pair of MMMs costs 3l+5
-//     cycles instead of the sequential 2(3l+4) = 6l+8.  The v1 shared
-//     PairingQueue is selectable via Options::scheduler for A/B benches.
+//     cycles instead of the sequential 2(3l+4) = 6l+8.
 //
 // Every scheduling decision is tick-driven behind an injectable Clock,
-// and the threaded ExpService is a thin shell over the same scheduler +
-// execution code (ExecutionCore) that the single-threaded
-// DeterministicExecutor replays in virtual time — which is how the
+// and the threaded ExpService is a thin shell over the same scheduler,
+// execution code (ExecutionCore) and job lifecycle — validation, the
+// claim-time deadline gate, promise-then-callback resolution, typed
+// cancellation, spans and counters — that the single-threaded
+// DeterministicExecutor replays in virtual time.  That is how the
 // stealing/unpair/pipelining policy is unit-tested and benchmarked
 // deterministically on any host.
 //
@@ -101,16 +102,6 @@ PairedExpResult PairedModExp(const MmmEngine& engine_a,
                              const bignum::BigUInt& exp_b,
                              InterleavedMmmc* array = nullptr);
 
-/// Which scheduling core dispatches jobs to workers.
-enum class SchedulerKind {
-  /// V1 (PR 3): one shared PairingQueue, pairing resolved at pop time.
-  /// Kept as the A/B baseline bench_exp_service compares against.
-  kSharedQueue,
-  /// V2: per-worker deques + work stealing + hold-for-pairing with an
-  /// age-based unpair timeout + adaptive batch claims (StealScheduler).
-  kStealing,
-};
-
 /// Per-job execution options (the service-wide Options stay the
 /// defaults).
 struct ExpJobOptions {
@@ -152,10 +143,10 @@ struct ExpResult {
   /// everything else zero).  Callers must check this before using value.
   bool cancelled = false;
   bool paired = false;    ///< ran co-scheduled with a partner job
-  /// The issue group was stolen from another worker's deque (v2).
+  /// The issue group was stolen from another worker's deque.
   bool stolen = false;
   /// Held for a partner that never came and released solo by the
-  /// age-based unpair timeout (v2).
+  /// age-based unpair timeout.
   bool unpaired_by_timeout = false;
   /// This job's operation counts plus the issue accounting of the issue
   /// group it ran in (shared by both jobs of a pair; a solo job's MMMs
@@ -171,7 +162,7 @@ struct ExpResult {
 // ---------------------------------------------------------------------------
 
 /// Everything needed to run one issue group, with no opinion about
-/// threads or time: backend resolution + validation, the per-(engine,
+/// threads or time: job validation, backend resolution, the per-(engine,
 /// modulus) LRU engine cache, the exponent-blinding stream, and the
 /// paired/solo group runner.  ExpService workers and the
 /// DeterministicExecutor both execute through one of these, so the two
@@ -192,6 +183,25 @@ class ExecutionCore {
     ExpJobOptions options;
   };
 
+  /// One submitted job, as both service shells track it from submit to
+  /// resolution.
+  struct Job {
+    std::uint64_t id = 0;  ///< assigned by the shell
+    JobSpec spec;
+    /// The job's backend models pairable dual-channel streams.
+    bool pairable = false;
+    std::uint64_t submit_tick = 0;
+    std::promise<ExpResult> promise;
+    std::function<void(const ExpResult&)> callback;
+  };
+
+  /// Validates a submission and builds its job: the modulus for this
+  /// core's field, the backend name and its field capability, and the
+  /// blinding width.  Throws std::invalid_argument.
+  Job MakeJob(bignum::BigUInt modulus, bignum::BigUInt base,
+              bignum::BigUInt exponent, ExpJobOptions options,
+              std::function<void(const ExpResult&)> callback) const;
+
   struct Outcome {
     std::vector<ExpResult> results;  ///< one per job, in group order
     bool paired = false;             ///< really co-scheduled dual-channel
@@ -204,14 +214,9 @@ class ExecutionCore {
   /// Outcome::error.
   Outcome RunGroup(std::span<const JobSpec* const> group);
 
-  /// Validates a modulus for this core's field (throws
-  /// std::invalid_argument), same predicate the engine factory applies.
-  void ValidateModulus(const bignum::BigUInt& modulus) const;
   /// Resolves a job's effective backend name and validates it (must be
   /// registered and support the service's field).
   const std::string& ResolveEngineName(const ExpJobOptions& options) const;
-  /// Whether the job's backend models pairable dual-channel streams.
-  bool Pairable(const ExpJobOptions& options) const;
   std::shared_ptr<const MmmEngine> AcquireEngine(
       const std::string& engine_name, const bignum::BigUInt& modulus);
 
@@ -222,6 +227,11 @@ class ExecutionCore {
   std::uint64_t CacheEvictions() const;
 
  private:
+  /// Validates a modulus for this core's field (throws
+  /// std::invalid_argument), same predicate the engine factory applies.
+  void ValidateModulus(const bignum::BigUInt& modulus) const;
+  /// Whether the job's backend models pairable dual-channel streams.
+  bool Pairable(const ExpJobOptions& options) const;
   bignum::BigUInt EffectiveExponent(const JobSpec& spec);
   /// Publishes one executed group's EngineStats into the engine.*
   /// counters (a pair's shared issue accounting is counted once).
@@ -246,6 +256,22 @@ class ExecutionCore {
     obs::Counter cache_misses;
     obs::Counter cache_evictions;
   } metrics_;
+};
+
+/// The jobs.* / issues.* counters both shells publish.  Binding them
+/// also registers the jobs.conservation invariant (submitted == completed
+/// + cancelled on a drained service).
+struct JobMetrics {
+  explicit JobMetrics(obs::Registry& registry);
+  /// Counts one executed group: one paired issue when it co-scheduled,
+  /// otherwise one single issue per job.
+  void CountGroup(bool paired, std::size_t jobs);
+
+  obs::Counter submitted;
+  obs::Counter completed;
+  obs::Counter cancelled;  ///< deadline_exceeded in the compat Counters
+  obs::Counter pair_issues;
+  obs::Counter single_issues;
 };
 
 /// Thread-safe batched/async exponentiation service.
@@ -279,16 +305,14 @@ class ExpService {
     /// used only by jobs that request ExpJobOptions::exponent_blind_order).
     std::uint64_t blind_seed = 0x0b11d5eedull;
 
-    // --- scheduler v2 knobs --------------------------------------------
-    /// Scheduling core (v2 stealing by default; v1 shared queue for A/B).
-    SchedulerKind scheduler = SchedulerKind::kStealing;
+    // --- scheduler knobs -----------------------------------------------
     /// Ticks (nanoseconds on the default clock) a lone hot-key job may
     /// be held waiting for a pairing partner before the age-based unpair
     /// timeout releases it solo.
     std::uint64_t unpair_timeout = 200'000;
-    /// Idle workers steal the oldest group from other deques (v2 only).
+    /// Idle workers steal the oldest group from other deques.
     bool work_stealing = true;
-    /// Upper bound of one adaptive batch claim (v2 only; >= 1).
+    /// Upper bound of one adaptive batch claim (>= 1).
     std::size_t max_batch = 8;
     /// Injected tick source for the scheduler's timing decisions; null
     /// uses a steady nanosecond clock.  Tests inject a ManualClock (the
@@ -404,7 +428,7 @@ class ExpService {
     std::uint64_t engine_cache_hits = 0;
     std::uint64_t engine_cache_misses = 0;
     std::uint64_t engine_cache_evictions = 0;
-    // --- v2 scheduler counters (zero under kSharedQueue) ---------------
+    // --- scheduler counters --------------------------------------------
     std::uint64_t steals = 0;           ///< groups taken from another deque
     std::uint64_t holds = 0;            ///< jobs held waiting for a partner
     std::uint64_t hold_pairs = 0;       ///< holds that found a partner
@@ -425,33 +449,17 @@ class ExpService {
   const Options& options() const { return options_; }
 
  private:
-  struct Job {
-    std::uint64_t id = 0;
-    ExecutionCore::JobSpec spec;
-    std::promise<Result> promise;
-    Callback callback;
-  };
-
-  /// A validated job with its pairing key, ready to enter the queue.
-  struct Queued {
-    Job job;
-    std::uint64_t key = 0;
-    bool pairable = false;
-  };
+  using Job = ExecutionCore::Job;
 
   std::uint64_t NowTicks() const;
-  /// Validates the job and derives its pairing key (Submit's checks).
-  Queued MakeJob(bignum::BigUInt modulus, bignum::BigUInt base,
-                 bignum::BigUInt exponent, JobOptions options,
-                 Callback callback);
   /// Hands the job to the scheduler; the caller holds mu_ and notifies.
-  std::future<Result> EnqueueLocked(Queued queued);
+  std::future<Result> EnqueueLocked(Job job);
   void WorkerLoop(std::size_t index);
   /// Acquires the next issue batch for `index`, waiting as needed.
   /// Returns false when the worker should exit (stopping and drained).
   bool AcquireIssues(std::size_t index, std::unique_lock<std::mutex>& lk,
                      std::vector<StealScheduler::Issue>* issues);
-  bool QueueDrainedLocked() const;
+  bool DrainedLocked() const { return sched_.Idle() && in_flight_ == 0; }
   void ContinuationLoop();
 
   Options options_;
@@ -463,25 +471,16 @@ class ExpService {
   SteadyClock steady_clock_;
   const Clock* clock_ = nullptr;
 
+  JobMetrics metrics_;
+
   mutable std::mutex mu_;            // guards everything below it
   std::condition_variable cv_;       // queue became non-empty / stopping
   std::condition_variable idle_cv_;  // queue drained and no job in flight
-  PairingQueue queue_;               // v1 core (kSharedQueue)
-  std::unique_ptr<StealScheduler> sched_;  // v2 core (kStealing)
+  StealScheduler sched_;
   std::unordered_map<std::uint64_t, Job> pending_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t next_bond_key_ = 0;
-  std::uint64_t next_solo_key_ = 0;
   std::size_t in_flight_ = 0;
   bool stop_ = false;
-  struct ServiceMetrics {
-    obs::Counter jobs_submitted;
-    obs::Counter jobs_completed;
-    obs::Counter jobs_cancelled;  // deadline_exceeded in the compat struct
-    obs::Counter pair_issues;
-    obs::Counter single_issues;
-  };
-  ServiceMetrics metrics_;
 
   std::mutex cont_mu_;  // guards the continuation queue only
   std::condition_variable cont_cv_;
@@ -497,17 +496,17 @@ class ExpService {
 // ---------------------------------------------------------------------------
 
 /// Single-threaded discrete-event replay of the service: the same
-/// ExecutionCore runs the jobs and the same scheduling core (v1 or v2,
-/// per Options::scheduler) makes every dispatch decision, but time is a
-/// virtual tick counter and "workers" are simulated array channels whose
-/// job durations are the modelled engine cycles.  Every stealing /
-/// hold / unpair / batch decision is therefore an exact, replayable
-/// function of the submitted workload — the property tests and the
-/// multi-tenant stress bench run here, immune to host timing.
+/// ExecutionCore runs the jobs, the same StealScheduler makes every
+/// dispatch decision and the same lifecycle helpers resolve them, but
+/// time is a virtual tick counter and "workers" are simulated array
+/// channels whose job durations are the modelled engine cycles.  Every
+/// stealing / hold / unpair / batch decision is therefore an exact,
+/// replayable function of the submitted workload — the property tests
+/// and the multi-tenant stress bench run here, immune to host timing.
 ///
-/// Usage: schedule arrivals with SubmitAt()/SubmitPairAt()/PostAt(),
-/// then RunUntilIdle().  Callbacks fire at the job's virtual completion
-/// tick and may schedule further work (at >= Now()).
+/// Usage: schedule arrivals with SubmitAt()/PostAt(), then
+/// RunUntilIdle().  Callbacks fire at the job's virtual completion tick
+/// and may schedule further work (at >= Now()).
 class DeterministicExecutor {
  public:
   using Result = ExpResult;
@@ -519,10 +518,6 @@ class DeterministicExecutor {
                                bignum::BigUInt base, bignum::BigUInt exponent,
                                ExpJobOptions job_options = {},
                                Callback callback = {});
-  std::pair<std::future<Result>, std::future<Result>> SubmitPairAt(
-      std::uint64_t tick, bignum::BigUInt modulus_a, bignum::BigUInt base_a,
-      bignum::BigUInt exponent_a, bignum::BigUInt modulus_b,
-      bignum::BigUInt base_b, bignum::BigUInt exponent_b);
   /// Runs `continuation` at the given virtual tick (clamped to Now()).
   void PostAt(std::uint64_t tick, std::function<void()> continuation);
 
@@ -550,26 +545,14 @@ class DeterministicExecutor {
   const std::vector<JobRecord>& Records() const { return records_; }
 
   ExpService::Counters Snapshot() const;
-  /// V2 scheduler stats (null under kSharedQueue).  The pointee is a
-  /// snapshot refreshed by each call — copy it before the next call.
-  const StealScheduler::Stats* SchedulerStats() const {
-    if (sched_ == nullptr) return nullptr;
-    sched_stats_ = sched_->GetStats();
-    return &sched_stats_;
-  }
+  StealScheduler::Stats SchedulerStats() const { return sched_.GetStats(); }
 
   /// The metrics registry (Options::registry or the executor's private
   /// one); same dotted names as the threaded service.
   obs::Registry& registry() const { return *registry_; }
 
  private:
-  struct Job {
-    std::uint64_t id = 0;
-    ExecutionCore::JobSpec spec;
-    std::promise<Result> promise;
-    Callback callback;
-    std::uint64_t submit_tick = 0;
-  };
+  using Job = ExecutionCore::Job;
   struct Event {
     std::uint64_t tick = 0;
     std::uint64_t seq = 0;  ///< schedule order: total, deterministic tie-break
@@ -582,27 +565,22 @@ class DeterministicExecutor {
   };
 
   void Schedule(std::uint64_t tick, std::function<void()> action);
-  /// The id stamped on this job's trace events (options.trace_id or the
-  /// executor-assigned job id).
-  static std::uint64_t TraceId(const Job& job);
-  void EnterQueue(Job job, std::uint64_t key, bool pairable);
   /// Deadline event: if `id` is still queued (un-claimed, possibly held
   /// for pairing), releases it from the scheduler and resolves it
   /// cancelled at the current tick.  No-op once the job was dispatched.
   void CancelIfQueued(std::uint64_t id);
-  /// Resolves `job` as deadline-cancelled at the current tick.
-  void FinishCancelled(Job job);
+  /// Counts, traces and records `jobs` as deadline-cancelled at the
+  /// current tick, then resolves them.
+  void FinishCancelled(std::vector<Job>& jobs);
   void TryDispatch();
-  /// Claims the next issues for an idle worker (mode-dependent).
-  std::vector<StealScheduler::Issue> AcquireFor(std::size_t worker);
   void ScheduleHoldWake();
 
   ExpService::Options options_;
   std::unique_ptr<obs::Registry> owned_registry_;
   obs::Registry* registry_ = nullptr;
   ExecutionCore core_;
-  std::unique_ptr<StealScheduler> sched_;  // kStealing
-  PairingQueue queue_;                     // kSharedQueue
+  JobMetrics metrics_;
+  StealScheduler sched_;
 
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::uint64_t now_ = 0;
@@ -611,20 +589,9 @@ class DeterministicExecutor {
 
   std::unordered_map<std::uint64_t, Job> pending_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t next_bond_key_ = 0;
-  std::uint64_t next_solo_key_ = 0;
   std::vector<bool> worker_busy_;
   std::uint64_t hold_wake_tick_ = 0;
   bool hold_wake_scheduled_ = false;
-
-  struct {
-    obs::Counter jobs_submitted;
-    obs::Counter jobs_completed;
-    obs::Counter jobs_cancelled;
-    obs::Counter pair_issues;
-    obs::Counter single_issues;
-  } metrics_;
-  mutable StealScheduler::Stats sched_stats_;  // SchedulerStats() storage
   std::vector<JobRecord> records_;
 };
 

@@ -1,4 +1,4 @@
-// schedule.cpp — the v2 scheduling core (StealScheduler) and the steady
+// schedule.cpp — the scheduling core (StealScheduler) and the steady
 // tick source.  The policy here is pure and externally synchronised; the
 // threaded ExpService and the DeterministicExecutor are both thin shells
 // over exactly this code, which is what makes the scheduler's behaviour
@@ -132,8 +132,8 @@ void StealScheduler::Submit(std::uint64_t id, std::uint64_t key,
     Dispatch(std::move(pair));
     return;
   }
-  // 2. An un-acquired solo group on this key: join it in place (this is
-  //    what the v1 queue gets from pairing-at-pop; v2 keeps it).
+  // 2. An un-acquired solo group on this key: join it in place (pairing
+  //    whatever is still queued at claim time).
   const auto open = open_solos_.find(key);
   if (open != open_solos_.end()) {
     Group* group = open->second;
@@ -180,8 +180,8 @@ void StealScheduler::Submit(std::uint64_t id, std::uint64_t key,
 void StealScheduler::SubmitBonded(std::uint64_t id_a, std::uint64_t id_b,
                                   std::uint64_t now) {
   if (!config_.enable_pairing) {
-    // Matches the v1 semantics: with pairing disabled the bonded halves
-    // still execute, just as two solo issues.
+    // With pairing disabled the bonded halves still execute, just as two
+    // solo issues.
     Group first, second;
     first.ids[0] = id_a;
     first.count = 1;

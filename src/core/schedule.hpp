@@ -9,24 +9,20 @@
 // The second half of the file holds the data structures the batched
 // exponentiation service (core/exp_service.hpp) schedules with:
 //
-//   * PairingQueue — the v1 scheduler: a single FIFO of job ids tagged
-//     with a compatibility key; popping pairs the oldest job with the
-//     oldest later job sharing its key, so two independent
-//     exponentiations can occupy the two channels of one dual-channel
-//     array (two MMMs in 3l+5 cycles instead of 6l+8).  A job with no
-//     partner still pops alone — nothing starves.  Kept as the A/B
-//     baseline the v2 scheduler is benchmarked against.
-//   * StealScheduler — the v2 scheduler: per-worker deques with
-//     cross-worker work stealing, hold-for-pairing with an age-based
-//     unpair timeout (a lone job on a hot key briefly waits for a
-//     partner instead of issuing solo), and adaptive batch claims under
-//     backlog.  Every timing decision takes an explicit tick, so the
-//     whole policy replays deterministically under a virtual clock.
+//   * StealScheduler — the service's one scheduler: it pairs two
+//     independent equal-length exponentiations onto the two channels of
+//     one dual-channel array (two MMMs in 3l+5 cycles instead of 6l+8),
+//     with per-worker deques and cross-worker work stealing,
+//     hold-for-pairing with an age-based unpair timeout (a lone job on a
+//     hot key briefly waits for a partner instead of issuing solo), and
+//     adaptive batch claims under backlog.  Every timing decision takes
+//     an explicit tick, so the whole policy replays deterministically
+//     under a virtual clock.
 //   * LruCache — the per-modulus engine cache: repeated traffic on one
 //     key reuses the precomputed Montgomery context instead of paying
 //     the R^2-mod-N precomputation again.
 //
-// All are single-threaded building blocks; the service serialises access
+// Both are single-threaded building blocks; the service serialises access
 // under its queue mutex.  They are kept here, std-only, so the scheduler
 // policy is unit-testable without threads.
 #pragma once
@@ -108,79 +104,6 @@ constexpr std::uint64_t PairedMultiplyCycles(std::size_t l) {
 }
 
 // ---------------------------------------------------------------------------
-// Service scheduling structures
-// ---------------------------------------------------------------------------
-
-/// FIFO queue of job ids with same-key pairing on pop.
-///
-/// Keys encode dual-channel compatibility (for the exponentiation service:
-/// the operand bit length l, since both channels of one array share the
-/// cell count).  Ids pushed with `bonded = true` pair only with their bond
-/// partner (the next bonded push with the same key) — used when a caller
-/// such as RSA-CRT wants its two half-exponentiations co-scheduled — while
-/// regular ids pair opportunistically.
-class PairingQueue {
- public:
-  /// Up to two job ids popped as one dual-channel issue.
-  struct Issue {
-    std::array<std::uint64_t, 2> ids{};
-    std::size_t count = 0;
-    bool bonded = false;
-  };
-
-  void Push(std::uint64_t id, std::uint64_t key, bool bonded = false) {
-    entries_.push_back(Entry{id, key, bonded});
-  }
-
-  /// Pops the oldest entry; with `allow_pairing` it also claims the oldest
-  /// later entry with the same key (bonded entries only claim their bond
-  /// partner; opportunistic entries skip over bonded ones, which are
-  /// reserved for their partners).  FIFO order of first issue is never
-  /// violated, and an unpairable entry still issues alone.
-  std::optional<Issue> Pop(bool allow_pairing = true) {
-    if (entries_.empty()) return std::nullopt;
-    Issue issue;
-    const Entry front = entries_.front();
-    entries_.pop_front();
-    issue.ids[0] = front.id;
-    issue.count = 1;
-    issue.bonded = front.bonded;
-    if (!allow_pairing) return issue;
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->key != front.key) continue;
-      if (it->bonded != front.bonded) continue;
-      issue.ids[1] = it->id;
-      issue.count = 2;
-      entries_.erase(it);
-      break;
-    }
-    return issue;
-  }
-
-  /// Removes a queued id (deadline cancellation before dispatch).  Returns
-  /// false when the id is not queued (already popped or never pushed).
-  bool Remove(std::uint64_t id) {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->id != id) continue;
-      entries_.erase(it);
-      return true;
-    }
-    return false;
-  }
-
-  bool Empty() const { return entries_.empty(); }
-  std::size_t Size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::uint64_t id;
-    std::uint64_t key;
-    bool bonded;
-  };
-  std::list<Entry> entries_;
-};
-
-// ---------------------------------------------------------------------------
 // Clocks — every scheduler timing decision goes through one of these
 // ---------------------------------------------------------------------------
 
@@ -214,15 +137,15 @@ class ManualClock final : public Clock {
 };
 
 // ---------------------------------------------------------------------------
-// StealScheduler — the v2 scheduling core
+// StealScheduler — the service's scheduling core
 // ---------------------------------------------------------------------------
 
-/// Scheduler v2: per-worker deques + work stealing + adaptive pairing.
+/// Per-worker deques + work stealing + adaptive pairing.
 ///
-/// The v1 PairingQueue pairs whatever happens to be queued at pop time,
-/// so under sparse arrivals (shallow queue) almost everything issues
-/// solo and the dual-channel array runs at half throughput; and one
-/// shared queue serialises every worker on one lock.  V2 fixes both:
+/// Pairing only what happens to be queued at pop time would, under
+/// sparse arrivals (shallow queue), issue almost everything solo and run
+/// the dual-channel array at half throughput; one shared queue would
+/// also serialise every worker on one lock.  This scheduler avoids both:
 ///
 ///   * Formed issue groups (pairs, bonded pairs, solos) are dispatched
 ///     to the least-loaded worker's deque; an idle worker whose own

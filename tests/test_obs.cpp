@@ -250,7 +250,6 @@ std::string ReplayTraceJson() {
   Tracer tracer;
   core::ExpService::Options options;
   options.workers = 3;
-  options.scheduler = core::SchedulerKind::kStealing;
   options.tracer = &tracer;
   core::DeterministicExecutor exec(options);
   for (std::uint64_t j = 0; j < 24; ++j) {

@@ -1,6 +1,7 @@
 // Tests for the service scheduling structures in isolation (no threads):
-// PairingQueue queue-order / pairing / starvation semantics and the
-// LruCache eviction policy behind the per-modulus engine cache.
+// clock sources, the StealScheduler's pairing / stealing / hold / cancel
+// policy, and the LruCache eviction policy behind the per-modulus engine
+// cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,117 +14,6 @@
 
 namespace mont::core {
 namespace {
-
-TEST(PairingQueue, FifoWithoutPairing) {
-  PairingQueue queue;
-  for (std::uint64_t id = 1; id <= 5; ++id) queue.Push(id, /*key=*/7);
-  for (std::uint64_t id = 1; id <= 5; ++id) {
-    const auto issue = queue.Pop(/*allow_pairing=*/false);
-    ASSERT_TRUE(issue.has_value());
-    EXPECT_EQ(issue->count, 1u);
-    EXPECT_EQ(issue->ids[0], id);
-  }
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(PairingQueue, PairsOldestCompatibleEntries) {
-  PairingQueue queue;
-  // keys: A B A B  ->  (1,3) then (2,4)
-  queue.Push(1, 64);
-  queue.Push(2, 32);
-  queue.Push(3, 64);
-  queue.Push(4, 32);
-  auto first = queue.Pop();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->count, 2u);
-  EXPECT_EQ(first->ids[0], 1u);
-  EXPECT_EQ(first->ids[1], 3u);
-  auto second = queue.Pop();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->count, 2u);
-  EXPECT_EQ(second->ids[0], 2u);
-  EXPECT_EQ(second->ids[1], 4u);
-  EXPECT_TRUE(queue.Empty());
-}
-
-TEST(PairingQueue, OddJobOutAndLoneKeysDoNotStarve) {
-  PairingQueue queue;
-  // Three same-key entries: one must issue alone after the pair.
-  queue.Push(1, 8);
-  queue.Push(2, 8);
-  queue.Push(3, 8);
-  auto pair = queue.Pop();
-  ASSERT_TRUE(pair.has_value());
-  EXPECT_EQ(pair->count, 2u);
-  auto leftover = queue.Pop();
-  ASSERT_TRUE(leftover.has_value());
-  EXPECT_EQ(leftover->count, 1u);
-  EXPECT_EQ(leftover->ids[0], 3u);
-  // Entries with unmatched keys each issue alone, in FIFO order.
-  queue.Push(4, 10);
-  queue.Push(5, 11);
-  EXPECT_EQ(queue.Pop()->ids[0], 4u);
-  EXPECT_EQ(queue.Pop()->ids[0], 5u);
-}
-
-TEST(PairingQueue, BondedEntriesOnlyPairWithTheirPartner) {
-  PairingQueue queue;
-  const std::uint64_t bond = (std::uint64_t{1} << 63) | 0;
-  queue.Push(1, 64);                    // opportunistic
-  queue.Push(2, bond, /*bonded=*/true);  // bonded half 1
-  queue.Push(3, 64);                    // opportunistic
-  queue.Push(4, bond, /*bonded=*/true);  // bonded half 2
-  auto first = queue.Pop();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->ids[0], 1u);
-  EXPECT_EQ(first->ids[1], 3u);  // skipped the bonded entry in between
-  EXPECT_FALSE(first->bonded);
-  auto second = queue.Pop();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(second->bonded);
-  EXPECT_EQ(second->ids[0], 2u);
-  EXPECT_EQ(second->ids[1], 4u);
-}
-
-TEST(PairingQueue, BondedAndOpportunisticNeverMixOnSameKey) {
-  PairingQueue queue;
-  queue.Push(1, 64, /*bonded=*/true);
-  queue.Push(2, 64, /*bonded=*/false);
-  auto first = queue.Pop();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->count, 1u);  // bonded front cannot claim the plain entry
-  auto second = queue.Pop();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->count, 1u);
-}
-
-// Property check: every id issues exactly once, pairs always share a key,
-// and the first slot of successive issues preserves FIFO order.
-TEST(PairingQueue, RandomizedConservationAndOrder) {
-  auto rng = test::TestRng();
-  PairingQueue queue;
-  constexpr std::uint64_t kEntries = 500;
-  std::map<std::uint64_t, std::uint64_t> key_of;
-  for (std::uint64_t id = 1; id <= kEntries; ++id) {
-    const std::uint64_t key = rng.Engine().NextBelow(5);
-    key_of[id] = key;
-    queue.Push(id, key);
-  }
-  std::set<std::uint64_t> seen;
-  std::uint64_t last_front = 0;
-  while (auto issue = queue.Pop()) {
-    EXPECT_GT(issue->ids[0], last_front) << "FIFO order of issue fronts";
-    last_front = issue->ids[0];
-    for (std::size_t i = 0; i < issue->count; ++i) {
-      EXPECT_TRUE(seen.insert(issue->ids[i]).second)
-          << "id issued twice: " << issue->ids[i];
-    }
-    if (issue->count == 2) {
-      EXPECT_EQ(key_of[issue->ids[0]], key_of[issue->ids[1]]);
-    }
-  }
-  EXPECT_EQ(seen.size(), kEntries);
-}
 
 // ---------------------------------------------------------------------------
 // Clock sources
