@@ -12,13 +12,22 @@
 //     (the service clock is nanoseconds), so all of them are cancelled
 //     at claim time: DEADLINE_EXCEEDED responses and the job-level
 //     cancelled counter are exact.
-//   * sweep — closed-loop load generator: T client threads (T doubling
-//     per level) each push K requests through the full wire codec with
-//     no retries.  Reported goodput (verified signatures/sec), offered
-//     rate, shed fraction and p50/p95/p99 latency are host-throughput
+//   * sweep — closed-loop load generator: in one round, T client threads
+//     (T doubling per level) each push K requests through the full wire
+//     codec with no retries.  Each level has its own service and repeats
+//     its round for at least kSlices x kSliceSeconds of wall time, in
+//     slices that alternate with the other levels' slices, so a burst of
+//     host load lands on every level alike.  The row's `offered` is one
+//     round (T x K); the window keeps a level from being judged on a few
+//     milliseconds of wall time now that a signature takes well under
+//     one.  Reported goodput (verified signatures/sec), offered rate,
+//     shed fraction and p50/p95/p99 latency are host-throughput
 //     measurements: the JSON keys carry wall/per_sec markers so
 //     bench_drift_check tracks the row identity strictly but skips the
-//     host-dependent numbers.
+//     host-dependent numbers.  The tenant allows 2 x workers requests in
+//     flight, so past that many threads the excess is refused with typed
+//     BACKPRESSURE: that refusal path is the overload under test, and
+//     goodput counts verified signatures only.
 //
 // The bench gates itself: goodput past saturation must not collapse
 // (highest-load goodput >= 50% of peak goodput), no bad signature may
@@ -34,6 +43,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +65,11 @@ using Clock = std::chrono::steady_clock;
 
 // Far beyond any run's duration: the bucket never refills mid-bench.
 constexpr std::uint64_t kNeverRefillTicks = 3'600'000'000'000ull;
+
+// Each sweep level runs kSlices slices, each repeating its closed-loop
+// round until kSliceSeconds have passed: at least 100 ms per level.
+constexpr int kSlices = 4;
+constexpr double kSliceSeconds = 0.025;
 
 const mont::crypto::RsaKeyPair& BenchKey() {
   static const mont::crypto::RsaKeyPair key = [] {
@@ -154,7 +169,8 @@ mont::bench::JsonRow DeadlineModelRow() {
 
 struct SweepPoint {
   std::size_t threads = 0;
-  std::size_t offered = 0;
+  std::size_t offered = 0;  // one round: threads x requests per thread
+  std::size_t sent = 0;     // all rounds of the level
   std::size_t ok = 0;
   std::size_t refused = 0;  // typed backpressure/shed
   double wall_seconds = 0;
@@ -163,8 +179,7 @@ struct SweepPoint {
   double p50_us = 0, p95_us = 0, p99_us = 0;
 };
 
-SweepPoint RunSweepLevel(std::size_t threads, std::size_t per_thread,
-                         std::size_t workers, mont::obs::Tracer* tracer) {
+server::Keystore LoadKeystore(std::size_t workers) {
   server::Keystore keystore;
   server::TenantConfig tenant;
   tenant.name = "load";
@@ -172,86 +187,125 @@ SweepPoint RunSweepLevel(std::size_t threads, std::size_t per_thread,
   tenant.max_in_flight = 2 * workers;
   keystore.AddTenant(1, tenant);
   keystore.AddKey(1, 1, BenchKey());
+  return keystore;
+}
+
+server::SigningService::Options LoadOptions(std::size_t workers,
+                                            mont::obs::Tracer* tracer) {
   server::SigningService::Options options;
   options.service.workers = workers;
   options.service.tracer = tracer;
   options.admission.queue_high_watermark = 2 * workers;
-  server::SigningService service(std::move(keystore), options);
-  server::InProcTransport transport(service);
-
-  SweepPoint point;
-  point.threads = threads;
-  point.offered = threads * per_thread;
-  std::vector<std::vector<double>> latencies(threads);
-  std::vector<std::size_t> oks(threads, 0), refusals(threads, 0);
-  std::vector<std::thread> pool;
-  const auto start = Clock::now();
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      for (std::size_t i = 0; i < per_thread; ++i) {
-        server::SignRequest request;
-        request.request_id = t * per_thread + i + 1;
-        request.tenant_id = 1;
-        request.key_id = 1;
-        request.message = {static_cast<std::uint8_t>(t),
-                           static_cast<std::uint8_t>(i)};
-        const auto sent = Clock::now();
-        const auto response = transport.Call(request).get();
-        const double micros =
-            std::chrono::duration<double, std::micro>(Clock::now() - sent)
-                .count();
-        if (!response) continue;
-        if (response->status == server::StatusCode::kOk) {
-          ++oks[t];
-          latencies[t].push_back(micros);
-        } else if (response->status ==
-                       server::StatusCode::kRejectedBackpressure ||
-                   response->status == server::StatusCode::kShedOverload) {
-          ++refusals[t];
-        }
-      }
-    });
-  }
-  for (std::thread& thread : pool) thread.join();
-  service.Wait();
-  point.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  std::vector<double> all;
-  for (std::size_t t = 0; t < threads; ++t) {
-    point.ok += oks[t];
-    point.refused += refusals[t];
-    all.insert(all.end(), latencies[t].begin(), latencies[t].end());
-  }
-  std::sort(all.begin(), all.end());
-  point.p50_us = Percentile(all, 0.50);
-  point.p95_us = Percentile(all, 0.95);
-  point.p99_us = Percentile(all, 0.99);
-  point.goodput_per_sec =
-      point.wall_seconds > 0
-          ? static_cast<double>(point.ok) / point.wall_seconds
-          : 0;
-  point.offered_per_sec =
-      point.wall_seconds > 0
-          ? static_cast<double>(point.offered) / point.wall_seconds
-          : 0;
-
-  const auto counters = service.Snapshot();
-  const auto jobs = service.ServiceSnapshot();
-  if (counters.bad_signatures_released != 0) {
-    std::fprintf(stderr, "FATAL: bad signature released under load\n");
-    std::exit(1);
-  }
-  if (jobs.jobs_submitted != jobs.jobs_completed + jobs.deadline_exceeded) {
-    std::fprintf(stderr, "FATAL: job counters do not conserve (%llu != "
-                         "%llu + %llu)\n",
-                 static_cast<unsigned long long>(jobs.jobs_submitted),
-                 static_cast<unsigned long long>(jobs.jobs_completed),
-                 static_cast<unsigned long long>(jobs.deadline_exceeded));
-    std::exit(1);
-  }
-  return point;
+  return options;
 }
+
+// One sweep level on its own service.  It runs in slices, so the levels
+// take turns and share whatever load the host carries.
+class SweepLevel {
+ public:
+  SweepLevel(std::size_t threads, std::size_t per_thread, std::size_t workers,
+             mont::obs::Tracer* tracer)
+      : service_(LoadKeystore(workers), LoadOptions(workers, tracer)),
+        transport_(service_),
+        per_thread_(per_thread),
+        latencies_(threads),
+        oks_(threads, 0),
+        refusals_(threads, 0) {
+    point_.threads = threads;
+    point_.offered = threads * per_thread;
+  }
+
+  /// Repeats closed-loop rounds until `seconds` have passed.
+  void RunSlice(double seconds) {
+    const std::size_t threads = point_.threads;
+    const auto start = Clock::now();
+    do {
+      std::vector<std::thread> pool;
+      for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+          for (std::size_t i = 0; i < per_thread_; ++i) {
+            server::SignRequest request;
+            request.request_id = (rounds_ * threads + t) * per_thread_ + i + 1;
+            request.tenant_id = 1;
+            request.key_id = 1;
+            request.message = {static_cast<std::uint8_t>(t),
+                               static_cast<std::uint8_t>(i)};
+            const auto sent = Clock::now();
+            const auto response = transport_.Call(request).get();
+            const double micros =
+                std::chrono::duration<double, std::micro>(Clock::now() - sent)
+                    .count();
+            if (!response) continue;
+            if (response->status == server::StatusCode::kOk) {
+              ++oks_[t];
+              latencies_[t].push_back(micros);
+            } else if (response->status ==
+                           server::StatusCode::kRejectedBackpressure ||
+                       response->status ==
+                           server::StatusCode::kShedOverload) {
+              ++refusals_[t];
+            }
+          }
+        });
+      }
+      for (std::thread& thread : pool) thread.join();
+      ++rounds_;
+    } while (Clock::now() - start < std::chrono::duration<double>(seconds));
+    point_.wall_seconds +=
+        std::chrono::duration<double>(Clock::now() - start).count();
+  }
+
+  /// Totals over every slice; exits on a released bad signature or job
+  /// counters that do not conserve.
+  SweepPoint Finish() {
+    service_.Wait();
+    SweepPoint point = point_;
+    point.sent = rounds_ * point.offered;
+    std::vector<double> all;
+    for (std::size_t t = 0; t < point.threads; ++t) {
+      point.ok += oks_[t];
+      point.refused += refusals_[t];
+      all.insert(all.end(), latencies_[t].begin(), latencies_[t].end());
+    }
+    std::sort(all.begin(), all.end());
+    point.p50_us = Percentile(all, 0.50);
+    point.p95_us = Percentile(all, 0.95);
+    point.p99_us = Percentile(all, 0.99);
+    point.goodput_per_sec =
+        point.wall_seconds > 0
+            ? static_cast<double>(point.ok) / point.wall_seconds
+            : 0;
+    point.offered_per_sec =
+        point.wall_seconds > 0
+            ? static_cast<double>(point.sent) / point.wall_seconds
+            : 0;
+
+    const auto counters = service_.Snapshot();
+    const auto jobs = service_.ServiceSnapshot();
+    if (counters.bad_signatures_released != 0) {
+      std::fprintf(stderr, "FATAL: bad signature released under load\n");
+      std::exit(1);
+    }
+    if (jobs.jobs_submitted != jobs.jobs_completed + jobs.deadline_exceeded) {
+      std::fprintf(stderr, "FATAL: job counters do not conserve (%llu != "
+                           "%llu + %llu)\n",
+                   static_cast<unsigned long long>(jobs.jobs_submitted),
+                   static_cast<unsigned long long>(jobs.jobs_completed),
+                   static_cast<unsigned long long>(jobs.deadline_exceeded));
+      std::exit(1);
+    }
+    return point;
+  }
+
+ private:
+  server::SigningService service_;
+  server::InProcTransport transport_;
+  std::size_t per_thread_;
+  std::size_t rounds_ = 0;
+  SweepPoint point_;
+  std::vector<std::vector<double>> latencies_;
+  std::vector<std::size_t> oks_, refusals_;
+};
 
 }  // namespace
 
@@ -277,22 +331,35 @@ int main(int argc, char** argv) {
   rows.push_back(AdmissionModelRow());
   rows.push_back(DeadlineModelRow());
 
-  std::printf("\nsweep: %zu workers, %zu requests/thread, closed loop\n",
-              workers, per_thread);
-  std::printf("%8s %9s %7s %8s %12s %10s %10s %10s\n", "threads", "offered",
+  std::printf("\nsweep: %zu workers, rounds of %zu requests/thread, closed "
+              "loop, %d interleaved slices of >= %.0f ms per level\n",
+              workers, per_thread, kSlices, kSliceSeconds * 1e3);
+  std::printf("%8s %9s %7s %8s %12s %10s %10s %10s\n", "threads", "sent",
               "ok", "refused", "goodput/s", "p50 us", "p95 us", "p99 us");
-  std::vector<SweepPoint> points;
+  std::vector<std::unique_ptr<SweepLevel>> sweep;
   for (const std::size_t threads : levels) {
-    const SweepPoint point =
-        RunSweepLevel(threads, per_thread, workers, trace_ptr);
+    sweep.push_back(std::make_unique<SweepLevel>(threads, per_thread, workers,
+                                                 trace_ptr));
+  }
+  // Forward on even slices, backward on odd ones, so no level always runs
+  // first or last.
+  for (int slice = 0; slice < kSlices; ++slice) {
+    for (std::size_t k = 0; k < sweep.size(); ++k) {
+      sweep[slice % 2 == 0 ? k : sweep.size() - 1 - k]->RunSlice(
+          kSliceSeconds);
+    }
+  }
+  std::vector<SweepPoint> points;
+  for (const auto& level : sweep) {
+    const SweepPoint point = level->Finish();
     std::printf("%8zu %9zu %7zu %8zu %12.1f %10.1f %10.1f %10.1f\n",
-                point.threads, point.offered, point.ok, point.refused,
+                point.threads, point.sent, point.ok, point.refused,
                 point.goodput_per_sec, point.p50_us, point.p95_us,
                 point.p99_us);
     const double shed_fraction =
-        point.offered > 0 ? static_cast<double>(point.refused) /
-                                static_cast<double>(point.offered)
-                          : 0;
+        point.sent > 0 ? static_cast<double>(point.refused) /
+                             static_cast<double>(point.sent)
+                       : 0;
     rows.push_back(
         {{"stage", "sweep"},
          {"threads", static_cast<unsigned long long>(point.threads)},

@@ -11,10 +11,20 @@
 // kernel must be at least 30x the oracle at l = 1024, measured in this
 // process so the gate holds on any host (exit 1 below it).
 //
+// The pair_vs_solo rows time PairedModExp on two "bit-serial" engines
+// against one solo ModExp at l = 256, 512 and 1024.  On a CPU with
+// avx512ifma/avx512vl the pair runs on the dual-channel lanes
+// (bignum/mont_lanes.hpp), and the bench self-gates the ratio at <= 1.2:
+// a pair must cost about one solo exponentiation.  Elsewhere the pair
+// runs back to back on the scalar kernel and the row prints SKIP; so does
+// an unoptimised build (the sanitizer preset's -O0), where the lane
+// intrinsics spill every register and the ratio says nothing.
+//
 // Self-timed (bench_timer.hpp, no benchmark-framework dependency).
 // Writes BENCH_software.json; wall_* keys are host-dependent and exempt
 // from the CI drift gate.  --smoke shortens the measurement windows and
 // trims the gate-level sweep.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -23,9 +33,11 @@
 #include "bench_json.hpp"
 #include "bench_timer.hpp"
 #include "bignum/biguint.hpp"
+#include "bignum/mont_lanes.hpp"
 #include "bignum/montgomery.hpp"
 #include "bignum/random.hpp"
 #include "core/engine.hpp"
+#include "core/exp_service.hpp"
 #include "core/mmmc.hpp"
 #include "core/netlist_gen.hpp"
 #include "rtl/simulator.hpp"
@@ -139,6 +151,55 @@ int main(int argc, char** argv) {
       {"meets_gate", kernel_gate_ok},
   });
 
+  // Both CRT-style halves of a paired exponentiation vs one solo
+  // exponentiation: the best of five alternating measurements of each, so
+  // a burst of host load skews neither side.
+  constexpr double kMaxPairVsSolo = 1.2;
+#ifdef __OPTIMIZE__
+  constexpr bool kOptimized = true;
+#else
+  constexpr bool kOptimized = false;
+#endif
+  const bool ifma = mont::bignum::MontLanes::Supported();
+  const char* const pair_skip =
+      !ifma ? "SKIP (no avx512ifma/avx512vl)"
+            : !kOptimized ? "SKIP (unoptimised build)" : nullptr;
+  bool pair_gate_ok = true;
+  for (const std::size_t bits : {256u, 512u, 1024u}) {
+    RandomBigUInt rng(0x9a1e + bits);
+    const BigUInt n_a = rng.OddExactBits(bits), n_b = rng.OddExactBits(bits);
+    const BigUInt base_a = rng.Below(n_a), base_b = rng.Below(n_b);
+    const BigUInt exp_a = rng.ExactBits(bits), exp_b = rng.ExactBits(bits);
+    const auto engine_a = mont::core::MakeEngine("bit-serial", n_a);
+    const auto engine_b = mont::core::MakeEngine("bit-serial", n_b);
+    double pair_ns = 0, solo_ns = 0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const double pair = mont::bench::TimeIt([&] {
+        mont::bench::KeepAlive(mont::core::PairedModExp(
+            *engine_a, base_a, exp_a, *engine_b, base_b, exp_b));
+      }, window).wall_ns_per_op;
+      const double solo = mont::bench::TimeIt([&] {
+        mont::bench::KeepAlive(engine_a->ModExp(base_a, exp_a));
+      }, window).wall_ns_per_op;
+      pair_ns = rep == 0 ? pair : std::min(pair_ns, pair);
+      solo_ns = rep == 0 ? solo : std::min(solo_ns, solo);
+    }
+    const double ratio = pair_ns / solo_ns;
+    const bool ok = ratio <= kMaxPairVsSolo;
+    if (pair_skip == nullptr) pair_gate_ok = pair_gate_ok && ok;
+    std::printf("pair vs solo ModExp at l=%zu: %.0f / %.0f ns = %.2f "
+                "(gate: <= %.1f on IFMA hosts) %s\n",
+                bits, pair_ns, solo_ns, ratio, kMaxPairVsSolo,
+                pair_skip != nullptr ? pair_skip : ok ? "ok" : "FAIL");
+    rows.push_back({
+        {"op", "pair_vs_solo"},
+        {"bits", bits},
+        {"ifma", ifma},
+        {"wall_ratio", ratio},
+        {"gate_max_wall_ratio", kMaxPairVsSolo},
+    });
+  }
+
   // Around the Karatsuba threshold (24 limbs = 768 bits) and beyond.
   for (const std::size_t bits : {512u, 768u, 1536u, 4096u, 16384u}) {
     RandomBigUInt rng(0x3141u);
@@ -191,5 +252,5 @@ int main(int argc, char** argv) {
   const std::string path = mont::bench::WriteBenchJson(
       "software", rows, {{"smoke", smoke}});
   std::printf("\nJSON written to %s\n", path.c_str());
-  return kernel_gate_ok ? 0 : 1;
+  return kernel_gate_ok && pair_gate_ok ? 0 : 1;
 }

@@ -10,8 +10,6 @@ namespace {
 using Limb = MontKernel::Limb;
 using Wide = unsigned __int128;
 
-constexpr std::size_t kLimbBits = 64;
-
 }  // namespace
 
 MontKernel::MontKernel(const BigUInt& modulus, std::size_t r_bits,

@@ -25,10 +25,15 @@
 // size-explicit limb arrays, so a multiply allocates nothing.  The
 // constants (-N^-1 mod 2^64, limb counts, r) are computed once per
 // modulus.
+//
+// MontLanes (bignum/mont_lanes.hpp) runs two of these products at once,
+// one per AVX-512 IFMA lane, from two kernels' constants; it splits r the
+// same way in 52-bit digits, so each lane returns this kernel's product.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bignum/biguint.hpp"
@@ -55,6 +60,13 @@ class MontKernel {
   /// Words of scratch Multiply needs.
   std::size_t ScratchLimbs() const { return scratch_limbs_; }
 
+  /// The per-modulus constants, for a kernel that shares them (MontLanes):
+  /// N as Limbs() words, -N^-1 mod 2^64, r and the window.
+  std::span<const Limb> ModulusLimbs() const { return n_; }
+  Limb NegInverse() const { return n0_inv_; }
+  std::size_t RBits() const { return kLimbBits * full_steps_ + partial_bits_; }
+  Window window() const { return window_; }
+
   /// out = x*y*2^-r (mod N) in the kernel's window.  x, y and out hold
   /// Limbs() words each and out may alias x or y; scratch holds
   /// ScratchLimbs() words.  Exact for x*y < 2^r * N, which both windows'
@@ -70,6 +82,8 @@ class MontKernel {
   BigUInt Multiply(const BigUInt& x, const BigUInt& y) const;
 
  private:
+  static constexpr std::size_t kLimbBits = 64;
+
   /// v <- v - N if v >= N, else v, selected by mask (no branch on v).
   void SubtractModulusIfAtLeast(Limb* v) const;
 

@@ -59,6 +59,9 @@ class BitSerialMontgomery {
   /// the < 2N operand check.
   BigUInt Multiply(const BigUInt& x, const BigUInt& y) const;
 
+  /// The word-level kernel behind Multiply (R = 2^(l+2), window [0, 2N)).
+  const MontKernel& Kernel() const { return kernel_; }
+
   /// Montgomery-domain entry: Mont(x, R^2 mod N) = x*R mod 2N.
   BigUInt ToMont(const BigUInt& x) const { return Multiply(x, r2_); }
   /// Montgomery-domain exit: Mont(x, 1) = x*R^-1 mod 2N; per the paper this

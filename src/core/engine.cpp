@@ -186,6 +186,11 @@ class GfpBitSerialEngine final : public MmmEngine {
     return oracle_ ? ctx_.MultiplyAlg2(x, y) : ctx_.Multiply(x, y);
   }
   const BigUInt& MontFactor() const override { return ctx_.RSquaredModN(); }
+  /// The oracle keeps its bit loop: it is what the kernel is checked
+  /// against.
+  const bignum::MontKernel* Kernel() const override {
+    return oracle_ ? nullptr : &ctx_.Kernel();
+  }
   std::uint64_t MultiplyCyclesModel() const override {
     return MultiplyCycles(l());
   }

@@ -44,6 +44,10 @@
 
 #include "bignum/biguint.hpp"
 
+namespace mont::bignum {
+class MontKernel;
+}  // namespace mont::bignum
+
 namespace mont::core {
 
 /// Arithmetic field a backend operates in.  kGfP is the paper's integer
@@ -138,6 +142,11 @@ class MmmEngine {
   /// The domain-entry operand: ToMont(x) == Multiply(x, MontFactor()),
   /// i.e. R^2 reduced by the modulus.
   virtual const bignum::BigUInt& MontFactor() const = 0;
+
+  /// The word-level kernel whose REDC product Multiply returns, for
+  /// callers that keep operands in limbs or lanes (PairedModExp's IFMA
+  /// path); nullptr for every backend whose products come from elsewhere.
+  virtual const bignum::MontKernel* Kernel() const { return nullptr; }
 
   /// Per-multiplication cycle model (what Multiply charges when it cannot
   /// measure): 3l+4 for the paper's array, 3l+6 for Blum–Paar, the

@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "bignum/mont_lanes.hpp"
 #include "core/interleaved.hpp"
 
 namespace mont::core {
@@ -17,127 +18,165 @@ using bignum::BigUInt;
 namespace {
 
 // ---------------------------------------------------------------------------
-// ModExpStream — one exponentiation unrolled into its MMM dependency chain
+// ExpScan — one exponentiation unrolled into its MMM dependency chain
 // ---------------------------------------------------------------------------
 
-// Left-to-right square-and-multiply (§4.5, Algorithm 3) as a stream of MMM
-// requests against one MmmEngine: NextOperands() exposes the operands of
-// the next multiplication this job needs, Consume() feeds the product back
-// and advances the state machine.  Every MMM depends on the previous one
-// *of the same job*, so two streams can be zipped issue-for-issue onto the
-// two channels of one array without any cross-job hazard.  The engine
-// supplies the field semantics (GF(p) or GF(2^m)) via MontFactor/Reduce.
+// Left-to-right square-and-multiply (§4.5, Algorithm 3) as a sequence of
+// MMMs: Next() names the one this job needs next (domain entry, square,
+// multiply by the base, domain exit) and Advance() records it in the job's
+// EngineStats and moves on.  The scan owns the exponent walk and every
+// stats decision; the operands live with whoever computes the products
+// (ModExpStream keeps BigUInts, PairOnLanes keeps 52-bit digits).  Every
+// MMM depends on the previous one *of the same job*, so two scans can be
+// zipped issue-for-issue onto the two channels of one array without any
+// cross-job hazard.
+class ExpScan {
+ public:
+  enum class Op { kPre, kSquare, kMultiply, kPost, kDone };
+
+  /// `exponent` must outlive the scan; exponent 0 needs no MMM at all.
+  ExpScan(const BigUInt& exponent, std::size_t l, EngineStats* stats)
+      : exponent_(exponent), l_(l), stats_(stats) {
+    if (!exponent_.IsZero()) {
+      next_i_ = exponent_.BitLength() - 1;
+      op_ = Op::kPre;
+    }
+  }
+
+  Op Next() const { return op_; }
+  bool Done() const { return op_ == Op::kDone; }
+
+  /// The product Next() asked for has been computed and stored.
+  void Advance() {
+    if (stats_ != nullptr) ++stats_->mmm_invocations;
+    switch (op_) {
+      case Op::kPre:
+        AdvanceIteration();
+        return;
+      case Op::kSquare:
+        ++squarings_;
+        if (stats_ != nullptr) ++stats_->squarings;
+        if (exponent_.Bit(next_i_)) {
+          op_ = Op::kMultiply;
+        } else {
+          AdvanceIteration();
+        }
+        return;
+      case Op::kMultiply:
+        ++multiplications_;
+        if (stats_ != nullptr) ++stats_->multiplications;
+        AdvanceIteration();
+        return;
+      case Op::kPost:
+        if (stats_ != nullptr) {
+          // Accumulate this job's delta (like every other EngineStats
+          // field), not a figure recomputed from the cumulative counters:
+          // callers may reuse one stats struct across jobs.
+          stats_->paper_model_cycles +=
+              ExponentiationCycles(l_, squarings_, multiplications_);
+        }
+        op_ = Op::kDone;
+        return;
+      case Op::kDone:
+        break;
+    }
+    throw std::logic_error("ExpScan: advance after completion");
+  }
+
+ private:
+  // Exponent bit i is handled by the iteration entered when next_i_ == i;
+  // the scan covers bits BitLength()-2 .. 0 (the top bit is the initial A).
+  void AdvanceIteration() {
+    if (next_i_ == 0) {
+      op_ = Op::kPost;
+    } else {
+      --next_i_;
+      op_ = Op::kSquare;
+    }
+  }
+
+  const BigUInt& exponent_;
+  std::size_t l_;
+  EngineStats* stats_;
+  std::uint64_t squarings_ = 0;        // this job's own operation counts,
+  std::uint64_t multiplications_ = 0;  // independent of the caller's struct
+  std::size_t next_i_ = 0;
+  Op op_ = Op::kDone;
+};
+
+// One scan's operands as BigUInts against one MmmEngine, which supplies
+// the field semantics (GF(p) or GF(2^m)) via MontFactor/Reduce:
+// NextOperands() exposes the operands of the next MMM, Consume() stores
+// the product and advances the scan.
 class ModExpStream {
  public:
   ModExpStream(const MmmEngine& engine, const BigUInt& base,
                const BigUInt& exponent, EngineStats* stats)
-      : engine_(engine), exponent_(exponent), stats_(stats) {
-    if (exponent_.IsZero()) {
+      : engine_(engine), scan_(exponent, engine.l(), stats) {
+    if (scan_.Done()) {
       result_ = engine_.Reduce(BigUInt{1});
-      phase_ = Phase::kDone;
-      return;
+    } else {
+      m_ = engine_.Reduce(base);
     }
-    m_ = engine_.Reduce(base);
-    next_i_ = exponent_.BitLength() - 1;
-    phase_ = Phase::kPre;
   }
 
-  bool Done() const { return phase_ == Phase::kDone; }
+  const ExpScan& Scan() const { return scan_; }
+  bool Done() const { return scan_.Done(); }
 
   /// Operands of the next MMM; pointers stay valid until Consume().
   void NextOperands(const BigUInt** x, const BigUInt** y) const {
-    switch (phase_) {
-      case Phase::kPre:
+    switch (scan_.Next()) {
+      case ExpScan::Op::kPre:
         *x = &m_;
         *y = &engine_.MontFactor();
         return;
-      case Phase::kSquare:
+      case ExpScan::Op::kSquare:
         *x = &a_;
         *y = &a_;
         return;
-      case Phase::kMultiply:
+      case ExpScan::Op::kMultiply:
         *x = &a_;
         *y = &m_mont_;
         return;
-      case Phase::kPost:
+      case ExpScan::Op::kPost:
         *x = &a_;
         *y = &one_;
         return;
-      case Phase::kDone:
+      case ExpScan::Op::kDone:
         break;
     }
     throw std::logic_error("ModExpStream: no operands after completion");
   }
 
   void Consume(BigUInt product) {
-    if (stats_ != nullptr) ++stats_->mmm_invocations;
-    switch (phase_) {
-      case Phase::kPre:
+    switch (scan_.Next()) {
+      case ExpScan::Op::kPre:
         m_mont_ = std::move(product);
         a_ = m_mont_;
-        AdvanceIteration();
-        return;
-      case Phase::kSquare:
-        a_ = std::move(product);
-        ++squarings_;
-        if (stats_ != nullptr) ++stats_->squarings;
-        if (exponent_.Bit(next_i_)) {
-          phase_ = Phase::kMultiply;
-        } else {
-          AdvanceIteration();
-        }
-        return;
-      case Phase::kMultiply:
-        a_ = std::move(product);
-        ++multiplications_;
-        if (stats_ != nullptr) ++stats_->multiplications;
-        AdvanceIteration();
-        return;
-      case Phase::kPost:
-        result_ = engine_.Reduce(std::move(product));
-        if (stats_ != nullptr) {
-          // Accumulate this job's delta (like every other EngineStats
-          // field), not a figure recomputed from the cumulative counters:
-          // callers may reuse one stats struct across jobs.
-          stats_->paper_model_cycles += ExponentiationCycles(
-              engine_.l(), squarings_, multiplications_);
-        }
-        phase_ = Phase::kDone;
-        return;
-      case Phase::kDone:
         break;
+      case ExpScan::Op::kSquare:
+      case ExpScan::Op::kMultiply:
+        a_ = std::move(product);
+        break;
+      case ExpScan::Op::kPost:
+        result_ = engine_.Reduce(std::move(product));
+        break;
+      case ExpScan::Op::kDone:
+        throw std::logic_error("ModExpStream: consume after completion");
     }
-    throw std::logic_error("ModExpStream: consume after completion");
+    scan_.Advance();
   }
 
   const BigUInt& Result() const { return result_; }
 
  private:
-  enum class Phase { kPre, kSquare, kMultiply, kPost, kDone };
-
-  // Exponent bit i is handled by the iteration entered when next_i_ == i;
-  // the scan covers bits BitLength()-2 .. 0 (the top bit is the initial A).
-  void AdvanceIteration() {
-    if (next_i_ == 0) {
-      phase_ = Phase::kPost;
-    } else {
-      --next_i_;
-      phase_ = Phase::kSquare;
-    }
-  }
-
   const MmmEngine& engine_;
-  const BigUInt exponent_;
-  EngineStats* stats_;
-  std::uint64_t squarings_ = 0;        // this job's own operation counts,
-  std::uint64_t multiplications_ = 0;  // independent of the caller's struct
+  ExpScan scan_;
   const BigUInt one_{1};
   BigUInt m_;       // base, canonically reduced
   BigUInt m_mont_;  // base in the Montgomery domain
   BigUInt a_;       // accumulator
   BigUInt result_;
-  std::size_t next_i_ = 0;
-  Phase phase_ = Phase::kDone;
 };
 
 /// Runs one stream to completion on its own (single-channel issues only),
@@ -158,6 +197,99 @@ BigUInt RunSoloStream(const MmmEngine& engine, const BigUInt& base,
     stats->engine_cycles += issues * engine.MultiplyCyclesModel();
   }
   return stream.Result();
+}
+
+/// The issue sequence of a paired exponentiation: while both scans still
+/// have work every issue carries one MMM of each, a dual-channel pair
+/// charged one cycle over the slower channel's multiply (3l+5 on the
+/// paper's array, whose model is 3l+4); once one scan drains, the other
+/// issues singly at its engine's model.  issue(a_live, b_live) computes
+/// the live channels' products and advances their scans.
+template <typename Issue>
+void ZipIssues(const ExpScan& a, const ExpScan& b, std::uint64_t cost_a,
+               std::uint64_t cost_b, EngineStats& stats, Issue&& issue) {
+  const std::uint64_t pair_cost = std::max(cost_a, cost_b) + 1;
+  while (!a.Done() || !b.Done()) {
+    const bool a_live = !a.Done();
+    const bool b_live = !b.Done();
+    issue(a_live, b_live);
+    if (a_live && b_live) {
+      ++stats.paired_issues;
+      stats.engine_cycles += pair_cost;
+    } else {
+      ++stats.single_issues;
+      stats.engine_cycles += a_live ? cost_a : cost_b;
+    }
+  }
+}
+
+/// A paired exponentiation on bignum::MontLanes, channel c = engines[c]:
+/// each channel's operands stay 52-bit digits in its lane from domain
+/// entry to domain exit, and every issue is one lane multiply.  A drained
+/// channel's lane keeps squaring its last product, which nothing reads.
+void PairOnLanes(const std::array<const MmmEngine*, 2>& engines,
+                 const std::array<const BigUInt*, 2>& bases,
+                 const std::array<const BigUInt*, 2>& exponents,
+                 PairedExpResult& out) {
+  using Digit = bignum::MontLanes::Digit;
+  const bignum::MontLanes lanes(*engines[0]->Kernel(), *engines[1]->Kernel());
+  const std::size_t w = lanes.OperandWords();
+  // Interleaved operands: the reduced base, the domain-entry factor, the
+  // base in the Montgomery domain, the accumulator and 1; then scratch.
+  std::vector<Digit> buffer(5 * w + lanes.ScratchWords(), 0);
+  Digit* const base = buffer.data();
+  Digit* const factor = base + w;
+  Digit* const base_mont = factor + w;
+  Digit* const acc = base_mont + w;
+  Digit* const one = acc + w;
+  Digit* const scratch = one + w;
+
+  std::array<ExpScan, 2> scans = {
+      ExpScan(*exponents[0], engines[0]->l(), &out.stats_a),
+      ExpScan(*exponents[1], engines[1]->l(), &out.stats_b)};
+  const std::array<BigUInt*, 2> results = {&out.a, &out.b};
+  for (std::size_t c = 0; c < 2; ++c) {
+    if (scans[c].Done()) *results[c] = engines[c]->Reduce(BigUInt{1});
+    lanes.Load(base, c, engines[c]->Reduce(*bases[c]));
+    lanes.Load(factor, c, engines[c]->MontFactor());
+    lanes.Load(one, c, BigUInt{1});
+  }
+
+  ZipIssues(scans[0], scans[1], engines[0]->MultiplyCyclesModel(),
+            engines[1]->MultiplyCyclesModel(), out.stats, [&](bool, bool) {
+    bignum::MontLanes::Sources x{}, y{};
+    for (std::size_t c = 0; c < 2; ++c) {
+      switch (scans[c].Next()) {
+        case ExpScan::Op::kPre:
+          x[c] = base;
+          y[c] = factor;
+          break;
+        case ExpScan::Op::kMultiply:
+          x[c] = acc;
+          y[c] = base_mont;
+          break;
+        case ExpScan::Op::kPost:
+          x[c] = acc;
+          y[c] = one;
+          break;
+        case ExpScan::Op::kSquare:
+        case ExpScan::Op::kDone:
+          x[c] = acc;
+          y[c] = acc;
+          break;
+      }
+    }
+    lanes.Multiply(acc, x, y, scratch);
+    for (std::size_t c = 0; c < 2; ++c) {
+      if (scans[c].Done()) continue;
+      if (scans[c].Next() == ExpScan::Op::kPre) {
+        lanes.CopyLane(base_mont, acc, c);
+      } else if (scans[c].Next() == ExpScan::Op::kPost) {
+        *results[c] = engines[c]->Reduce(lanes.Get(acc, c));
+      }
+      scans[c].Advance();
+    }
+  });
 }
 
 }  // namespace
@@ -205,20 +337,23 @@ PairedExpResult PairedModExp(const MmmEngine& engine_a, const BigUInt& base_a,
     }
   }
   PairedExpResult out;
+  const bignum::MontKernel* kernel_a = engine_a.Kernel();
+  const bignum::MontKernel* kernel_b = engine_b.Kernel();
+  if (array == nullptr && kernel_a != nullptr && kernel_b != nullptr &&
+      bignum::MontLanes::Supported() &&
+      bignum::MontLanes::Accepts(*kernel_a, *kernel_b)) {
+    PairOnLanes({&engine_a, &engine_b}, {&base_a, &base_b}, {&exp_a, &exp_b},
+                out);
+    return out;
+  }
+
   ModExpStream stream_a(engine_a, base_a, exp_a, &out.stats_a);
   ModExpStream stream_b(engine_b, base_b, exp_b, &out.stats_b);
-
-  // Issue accounting follows each engine's own per-multiply model (3l+4
-  // for the paper's array family), so solo and paired execution of the
-  // same job are charged consistently.  A dual-channel pair costs one
-  // cycle over the slower channel's multiply — 3l+5 on the array.
-  const std::uint64_t single_cost_a = engine_a.MultiplyCyclesModel();
-  const std::uint64_t single_cost_b = engine_b.MultiplyCyclesModel();
-  const std::uint64_t pair_cost = std::max(single_cost_a, single_cost_b) + 1;
-
-  while (!stream_a.Done() || !stream_b.Done()) {
-    if (!stream_a.Done() && !stream_b.Done()) {
-      // Dual-channel issue: one MMM of each job in 3l+5 cycles.
+  ZipIssues(stream_a.Scan(), stream_b.Scan(), engine_a.MultiplyCyclesModel(),
+            engine_b.MultiplyCyclesModel(), out.stats,
+            [&](bool a_live, bool b_live) {
+    if (a_live && b_live) {
+      // Dual-channel issue: one MMM of each job.
       const BigUInt *xa = nullptr, *ya = nullptr, *xb = nullptr, *yb = nullptr;
       stream_a.NextOperands(&xa, &ya);
       stream_b.NextOperands(&xb, &yb);
@@ -233,29 +368,24 @@ PairedExpResult PairedModExp(const MmmEngine& engine_a, const BigUInt& base_a,
       }
       stream_a.Consume(std::move(ra));
       stream_b.Consume(std::move(rb));
-      ++out.stats.paired_issues;
-      out.stats.engine_cycles += pair_cost;
-    } else {
-      // One stream has drained: the leftover issues singly.
-      const bool a_live = !stream_a.Done();
-      ModExpStream& stream = a_live ? stream_a : stream_b;
-      const MmmEngine& engine = a_live ? engine_a : engine_b;
-      const BigUInt *x = nullptr, *y = nullptr;
-      stream.NextOperands(&x, &y);
-      BigUInt r;
-      if (array != nullptr) {
-        const BigUInt zero;
-        auto pair = a_live ? array->MultiplyPair(*x, *y, zero, zero)
-                           : array->MultiplyPair(zero, zero, *x, *y);
-        r = a_live ? std::move(pair.a) : std::move(pair.b);
-      } else {
-        r = engine.Multiply(*x, *y);
-      }
-      stream.Consume(std::move(r));
-      ++out.stats.single_issues;
-      out.stats.engine_cycles += a_live ? single_cost_a : single_cost_b;
+      return;
     }
-  }
+    // One stream has drained: the leftover issues singly.
+    ModExpStream& stream = a_live ? stream_a : stream_b;
+    const MmmEngine& engine = a_live ? engine_a : engine_b;
+    const BigUInt *x = nullptr, *y = nullptr;
+    stream.NextOperands(&x, &y);
+    BigUInt r;
+    if (array != nullptr) {
+      const BigUInt zero;
+      auto pair = a_live ? array->MultiplyPair(*x, *y, zero, zero)
+                         : array->MultiplyPair(zero, zero, *x, *y);
+      r = a_live ? std::move(pair.a) : std::move(pair.b);
+    } else {
+      r = engine.Multiply(*x, *y);
+    }
+    stream.Consume(std::move(r));
+  });
   out.a = stream_a.Result();
   out.b = stream_b.Result();
   return out;

@@ -44,7 +44,9 @@
 // (which may use two different equal-length moduli — see the dual-modulus
 // InterleavedMmmc) through any two backends of equal operand length, and
 // can optionally run every product clock-by-clock on a dual-channel array
-// model.  All execution paths are bit-identical; tests assert it.
+// model.  On an AVX-512 IFMA CPU the bit-serial backend's pairs run both
+// channels in SIMD lanes (bignum/mont_lanes.hpp).  All execution paths
+// are bit-identical; tests assert it.
 #pragma once
 
 #include <condition_variable>
@@ -89,11 +91,21 @@ struct PairedExpResult {
 /// every issue carries one MMM of each (3l+5 cycles for the two); once the
 /// shorter job drains, the leftover stream issues singly (3l+4).  The two
 /// engines may hold different moduli but must have equal operand length.
-/// With `array` non-null every product additionally runs clock-by-clock on
-/// that dual-modulus interleaved array model (its channels must match the
-/// engines' moduli, and the engines must use the array's Montgomery
-/// parameter R = 2^(l+2) — the bit-serial family); otherwise the engines'
-/// own Multiply computes the products.
+/// One §4.5 scan per job makes the exponent walk and every stats decision,
+/// whichever of three places computes the products:
+///
+///   * `array` non-null: every product runs clock-by-clock on that
+///     dual-modulus interleaved array model (its channels must match the
+///     engines' moduli, and the engines must use the array's Montgomery
+///     parameter R = 2^(l+2) — the bit-serial family);
+///   * both engines expose a kernel (MmmEngine::Kernel(), GF(p)
+///     "bit-serial") and the CPU has avx512ifma + avx512vl: both channels
+///     run as one bignum::MontLanes multiply per issue, one per SIMD lane,
+///     with operands kept as 52-bit digits from domain entry to exit;
+///   * otherwise: the engines' own Multiply, one channel after the other.
+///
+/// All three return the same values and the same stats, stats_a and
+/// stats_b; tests assert it.
 PairedExpResult PairedModExp(const MmmEngine& engine_a,
                              const bignum::BigUInt& base_a,
                              const bignum::BigUInt& exp_a,

@@ -10,7 +10,13 @@
 //     against the "alg2-ref" oracle engine, CIOS and REDC by definition,
 //     with their cycle charges;
 //   * every registry engine's ModExp against BigUInt::ModExp;
-//   * the limb API: aliasing, dirty scratch, and no heap allocation.
+//   * the limb API: aliasing, dirty scratch, and no heap allocation;
+//   * the dual-channel IFMA lanes (bignum/mont_lanes.hpp): each lane, with
+//     its own modulus, against the kernel and the Algorithm-2 bit loop, and
+//     PairedModExp on "bit-serial" (the lane path) against "alg2-ref" (the
+//     BigUInt path) in values and all three EngineStats.  On a CPU without
+//     avx512ifma/avx512vl the lane cases skip; the scalar path keeps its
+//     own cases above.
 //
 // Moduli straddle the 32/64-bit limb boundaries (l = 63/64/65, 127/128/129,
 // 1023/1024/1025) and include all-ones moduli and moduli whose top limb
@@ -18,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -25,6 +32,7 @@
 #include <vector>
 
 #include "bignum/mont_kernel.hpp"
+#include "bignum/mont_lanes.hpp"
 #include "bignum/montgomery.hpp"
 #include "core/engine.hpp"
 #include "core/exp_service.hpp"
@@ -56,6 +64,7 @@ namespace {
 using bignum::BigUInt;
 using bignum::BitSerialMontgomery;
 using bignum::MontKernel;
+using bignum::MontLanes;
 using bignum::WordMontgomery;
 
 constexpr std::size_t kLengths[] = {63, 64, 65, 127, 128, 129, 1023, 1024, 1025};
@@ -119,6 +128,14 @@ BigUInt MontByDefinition(const BigUInt& x, const BigUInt& y, const BigUInt& n,
 
 BigUInt RInverse(const BigUInt& n, std::size_t r) {
   return BigUInt::ModInverse(BigUInt::PowerOfTwo(r) % n, n);
+}
+
+/// Test-name suffix "l<bits>" (appended, not operator+: GCC 12 reports a
+/// false -Wrestrict on "literal" + std::string&&).
+std::string LengthName(const ::testing::TestParamInfo<std::size_t>& info) {
+  std::string name = "l";
+  name += std::to_string(info.param);
+  return name;
 }
 
 class KernelDifferential : public ::testing::TestWithParam<std::size_t> {};
@@ -281,9 +298,7 @@ TEST_P(KernelDifferential, EveryRegistryEngineModExpMatchesBigUInt) {
 
 INSTANTIATE_TEST_SUITE_P(Lengths, KernelDifferential,
                          ::testing::ValuesIn(kLengths),
-                         [](const ::testing::TestParamInfo<std::size_t>& info) {
-                           return "l" + std::to_string(info.param);
-                         });
+                         LengthName);
 
 // ---------------------------------------------------------------------------
 // Limb API
@@ -348,6 +363,230 @@ TEST(KernelEngines, OracleEngineIsNeverTheServiceDefault) {
   // the scheduling and the 3l+4 / 3l+5 accounting.
   EXPECT_TRUE(core::EngineRegistry::Global().Find("alg2-ref")
                   ->caps.pairable_streams);
+}
+
+// ---------------------------------------------------------------------------
+// Dual-channel IFMA lanes
+// ---------------------------------------------------------------------------
+
+#define SKIP_WITHOUT_IFMA()                                              \
+  if (!MontLanes::Supported()) {                                         \
+    GTEST_SKIP() << "CPU lacks avx512ifma/avx512vl: no lane path here";  \
+  }
+
+// Small l, (l+2) mod 52 in {0, 1, 51} (l = 258, 259, 257, and 50, 51, 101
+// for one-, two- and three-digit values), and RSA-CRT half lengths.
+constexpr std::size_t kLaneLengths[] = {3,   50,  51,  52,  53,  64,  65,  101,
+                                        256, 257, 258, 259, 512, 1024, 2048};
+
+/// The two channels' moduli for one case: different odd moduli of length
+/// l, one of them all-ones or 2^(l-1)+1 in turn.
+std::pair<BigUInt, BigUInt> LaneModuli(std::size_t l, int which,
+                                       bignum::RandomBigUInt& rng) {
+  const auto moduli = ModuliOfLength(l, rng);
+  BigUInt other = rng.OddExactBits(l);
+  while (other == moduli[which % 3]) other = rng.OddExactBits(l);
+  return which % 2 == 0 ? std::pair{moduli[which % 3], other}
+                        : std::pair{other, moduli[which % 3]};
+}
+
+class LaneDifferential : public ::testing::TestWithParam<std::size_t> {};
+
+// Every lane returns its own kernel's product, which is Algorithm 2's
+// representative, over all pairs of edge operands on both lanes at once.
+TEST_P(LaneDifferential, EachLaneMatchesKernelAndAlgorithm2) {
+  SKIP_WITHOUT_IFMA();
+  const std::size_t l = GetParam();
+  auto rng = test::TestRng();
+  for (int which = 0; which < 3; ++which) {
+    const auto [n_a, n_b] = LaneModuli(l, which, rng);
+    const std::array<MontKernel, 2> kernels = {
+        MontKernel(n_a, l + 2, MontKernel::Window::kTwoN),
+        MontKernel(n_b, l + 2, MontKernel::Window::kTwoN)};
+    const std::array<BitSerialMontgomery, 2> oracles = {
+        BitSerialMontgomery(n_a), BitSerialMontgomery(n_b)};
+    const MontLanes lanes(kernels[0], kernels[1]);
+    ASSERT_EQ(lanes.Digits(), (l + 2) / 52 + 1);
+    const std::array<std::vector<BigUInt>, 2> ops = {
+        Operands(n_a, n_a << 1, rng, 2), Operands(n_b, n_b << 1, rng, 2)};
+    std::vector<MontLanes::Digit> x(lanes.OperandWords()),
+        y(lanes.OperandWords()), out(lanes.OperandWords()),
+        scratch(lanes.ScratchWords());
+    // Lane 1 walks its operands in reverse, so the lanes never see the
+    // same pair and each lane still covers every pair of its own list.
+    const std::size_t k = std::max(ops[0].size(), ops[1].size());
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        const std::array<BigUInt, 2> xs = {ops[0][i % ops[0].size()],
+                                           ops[1][(k - 1 - i) % ops[1].size()]};
+        const std::array<BigUInt, 2> ys = {ops[0][j % ops[0].size()],
+                                           ops[1][j % ops[1].size()]};
+        for (std::size_t c = 0; c < 2; ++c) {
+          lanes.Load(x.data(), c, xs[c]);
+          lanes.Load(y.data(), c, ys[c]);
+        }
+        lanes.Multiply(out.data(), {x.data(), x.data()}, {y.data(), y.data()},
+                       scratch.data());
+        for (std::size_t c = 0; c < 2; ++c) {
+          const BigUInt got = lanes.Get(out.data(), c);
+          ASSERT_EQ(got, kernels[c].Multiply(xs[c], ys[c]))
+              << "l=" << l << " lane " << c << " x=0x" << xs[c].ToHex()
+              << " y=0x" << ys[c].ToHex();
+          // The bit loop is the slow part; check it on a sparser grid at
+          // the largest lengths.
+          if (l <= 1024 || (i + j) % 4 == 0) {
+            ASSERT_EQ(got, oracles[c].MultiplyAlg2(xs[c], ys[c]))
+                << "l=" << l << " lane " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Per-channel sources: each lane reads its operands from its own buffer,
+// the result may overwrite a source, and the idle lanes stay zero.
+TEST_P(LaneDifferential, PerChannelSourcesAndAliasing) {
+  SKIP_WITHOUT_IFMA();
+  const std::size_t l = GetParam();
+  auto rng = test::TestRng();
+  const auto [n_a, n_b] = LaneModuli(l, 0, rng);
+  const MontKernel ka(n_a, l + 2, MontKernel::Window::kTwoN);
+  const MontKernel kb(n_b, l + 2, MontKernel::Window::kTwoN);
+  const MontLanes lanes(ka, kb);
+  const std::size_t w = lanes.OperandWords();
+  std::vector<MontLanes::Digit> p(w), q(w), r(w),
+      scratch(lanes.ScratchWords(), ~MontLanes::Digit{0});
+  const BigUInt pa = rng.Below(n_a << 1), qa = rng.Below(n_a << 1),
+                ra = rng.Below(n_a << 1);
+  const BigUInt pb = rng.Below(n_b << 1), qb = rng.Below(n_b << 1),
+                rb = rng.Below(n_b << 1);
+  lanes.Load(p.data(), 0, pa);
+  lanes.Load(q.data(), 0, qa);
+  lanes.Load(r.data(), 0, ra);
+  lanes.Load(p.data(), 1, pb);
+  lanes.Load(q.data(), 1, qb);
+  lanes.Load(r.data(), 1, rb);
+  // Lane 0 squares p; lane 1 multiplies q by r; the result lands in p.
+  lanes.Multiply(p.data(), {p.data(), q.data()}, {p.data(), r.data()},
+                 scratch.data());
+  EXPECT_EQ(lanes.Get(p.data(), 0), ka.Multiply(pa, pa));
+  EXPECT_EQ(lanes.Get(p.data(), 1), kb.Multiply(qb, rb));
+  for (std::size_t j = 0; j < lanes.Digits(); ++j) {
+    EXPECT_EQ(p[MontLanes::kLanes * j + 2], 0u);
+    EXPECT_EQ(p[MontLanes::kLanes * j + 3], 0u);
+  }
+  lanes.CopyLane(q.data(), p.data(), 1);
+  EXPECT_EQ(lanes.Get(q.data(), 1), kb.Multiply(qb, rb));
+  EXPECT_EQ(lanes.Get(q.data(), 0), qa);
+}
+
+void ExpectSameStats(const core::EngineStats& got,
+                     const core::EngineStats& want, const char* which) {
+  EXPECT_EQ(got.squarings, want.squarings) << which;
+  EXPECT_EQ(got.multiplications, want.multiplications) << which;
+  EXPECT_EQ(got.mmm_invocations, want.mmm_invocations) << which;
+  EXPECT_EQ(got.paired_issues, want.paired_issues) << which;
+  EXPECT_EQ(got.single_issues, want.single_issues) << which;
+  EXPECT_EQ(got.engine_cycles, want.engine_cycles) << which;
+  EXPECT_EQ(got.paper_model_cycles, want.paper_model_cycles) << which;
+  EXPECT_EQ(got.cancelled, want.cancelled) << which;
+}
+
+// PairedModExp on "bit-serial" engines takes the lane path; on "alg2-ref"
+// engines (no kernel) it takes the BigUInt path through the bit loop.
+// Values and the shared and per-job stats must agree, including leftover
+// single issues when the exponents differ in length.
+TEST_P(LaneDifferential, PairedModExpMatchesBigUIntPath) {
+  SKIP_WITHOUT_IFMA();
+  const std::size_t l = GetParam();
+  // Full-length exponents up to l = 128, shorter ones above: the bit-loop
+  // oracle's cost grows with l^2 per product, and the lane path's
+  // bookkeeping does not depend on the exponent length.
+  const std::size_t e_bits = l <= 128 ? l : std::max<std::size_t>(16, 32768 / l);
+  auto rng = test::TestRng();
+  const auto [n_a, n_b] = LaneModuli(l, 1, rng);
+  const auto fast_a = core::MakeEngine("bit-serial", n_a);
+  const auto fast_b = core::MakeEngine("bit-serial", n_b);
+  const auto slow_a = core::MakeEngine("alg2-ref", n_a);
+  const auto slow_b = core::MakeEngine("alg2-ref", n_b);
+  ASSERT_NE(fast_a->Kernel(), nullptr);
+  ASSERT_EQ(slow_a->Kernel(), nullptr);
+  const std::vector<BigUInt> exponents = {
+      BigUInt{}, BigUInt{1}, BigUInt{2}, AllOnes(e_bits),
+      rng.ExactBits(e_bits), rng.ExactBits(std::max<std::size_t>(2, e_bits / 3))};
+  const std::vector<BigUInt> bases_a = {BigUInt{}, BigUInt{1},
+                                        n_a - BigUInt{1}, n_a,
+                                        (n_a << 1) + BigUInt{5},
+                                        rng.Below(n_a)};
+  const std::vector<BigUInt> bases_b = {rng.Below(n_b), n_b + BigUInt{1},
+                                        BigUInt{1}, n_b - BigUInt{1},
+                                        BigUInt{}, AllOnes(l + 7)};
+  for (std::size_t i = 0; i < exponents.size(); ++i) {
+    for (std::size_t j = 0; j < exponents.size(); ++j) {
+      const BigUInt& base_a = bases_a[(i + j) % bases_a.size()];
+      const BigUInt& base_b = bases_b[i % bases_b.size()];
+      const auto fast = core::PairedModExp(*fast_a, base_a, exponents[i],
+                                           *fast_b, base_b, exponents[j]);
+      const auto slow = core::PairedModExp(*slow_a, base_a, exponents[i],
+                                           *slow_b, base_b, exponents[j]);
+      SCOPED_TRACE(::testing::Message() << "l=" << l << " e_a=0x"
+                                        << exponents[i].ToHex() << " e_b=0x"
+                                        << exponents[j].ToHex());
+      ASSERT_EQ(fast.a, BigUInt::ModExp(base_a, exponents[i], n_a));
+      ASSERT_EQ(fast.b, BigUInt::ModExp(base_b, exponents[j], n_b));
+      ASSERT_EQ(fast.a, slow.a);
+      ASSERT_EQ(fast.b, slow.b);
+      ExpectSameStats(fast.stats, slow.stats, "stats");
+      ExpectSameStats(fast.stats_a, slow.stats_a, "stats_a");
+      ExpectSameStats(fast.stats_b, slow.stats_b, "stats_b");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, LaneDifferential,
+                         ::testing::ValuesIn(kLaneLengths),
+                         LengthName);
+
+TEST(MontLanes, AcceptsOnlyMatchingTwoNKernels) {
+  auto rng = test::TestRng();
+  const BigUInt n = rng.OddExactBits(256), m = rng.OddExactBits(256);
+  using W = MontKernel::Window;
+  const MontKernel a(n, 258, W::kTwoN), b(m, 258, W::kTwoN);
+  EXPECT_TRUE(MontLanes::Accepts(a, b));
+  EXPECT_FALSE(MontLanes::Accepts(a, MontKernel(m, 259, W::kTwoN)));
+  EXPECT_FALSE(MontLanes::Accepts(a, MontKernel(m, 258, W::kN)));
+  EXPECT_THROW(MontLanes(a, MontKernel(m, 259, W::kTwoN)),
+               std::invalid_argument);
+  const std::size_t top = MontLanes::kMaxBits;
+  const BigUInt big = rng.OddExactBits(top), bigger = rng.OddExactBits(top + 1);
+  EXPECT_TRUE(MontLanes::Accepts(MontKernel(big, top + 2, W::kTwoN),
+                                 MontKernel(big, top + 2, W::kTwoN)));
+  EXPECT_FALSE(MontLanes::Accepts(MontKernel(bigger, top + 3, W::kTwoN),
+                                  MontKernel(bigger, top + 3, W::kTwoN)));
+}
+
+TEST(MontLanes, MultiplyDoesNotAllocate) {
+  SKIP_WITHOUT_IFMA();
+  auto rng = test::TestRng();
+  const BigUInt n_a = rng.OddExactBits(1024), n_b = rng.OddExactBits(1024);
+  const MontKernel ka(n_a, 1026, MontKernel::Window::kTwoN);
+  const MontKernel kb(n_b, 1026, MontKernel::Window::kTwoN);
+  const MontLanes lanes(ka, kb);
+  std::vector<MontLanes::Digit> a(lanes.OperandWords()),
+      b(lanes.OperandWords()), scratch(lanes.ScratchWords());
+  lanes.Load(a.data(), 0, rng.Below(n_a));
+  lanes.Load(a.data(), 1, rng.Below(n_b));
+  lanes.Load(b.data(), 0, rng.Below(n_a));
+  lanes.Load(b.data(), 1, rng.Below(n_b));
+  const std::size_t before = g_heap_allocations.load();
+  for (int i = 0; i < 64; ++i) {
+    lanes.Multiply(a.data(), {a.data(), a.data()}, {b.data(), b.data()},
+                   scratch.data());
+    lanes.Multiply(a.data(), {a.data(), b.data()}, {b.data(), a.data()},
+                   scratch.data());
+  }
+  EXPECT_EQ(g_heap_allocations.load(), before);
 }
 
 }  // namespace
