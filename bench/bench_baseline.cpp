@@ -10,6 +10,7 @@
 #include "baseline/blum_paar.hpp"
 #include "bench_json.hpp"
 #include "bignum/random.hpp"
+#include "core/engine.hpp"
 #include "core/high_radix.hpp"
 #include "core/netlist_gen.hpp"
 #include "core/schedule.hpp"
@@ -71,16 +72,16 @@ int main(int argc, char** argv) {
   {
     mont::bignum::RandomBigUInt rng(0xbb01u);
     const auto n = rng.OddExactBits(256);
-    BlumPaarRadix2 bp(n);
-    std::uint64_t mmm_count = 0;
+    mont::core::EngineStats stats;
     const auto base = rng.Below(n);
     const auto e = rng.ExactBits(128);
-    const auto got = bp.ModExp(base, e, &mmm_count);
+    const auto got =
+        mont::core::MakeEngine("blum-paar", n)->ModExp(base, e, &stats);
     const auto expect = mont::bignum::BigUInt::ModExp(base, e, n);
     std::printf("\nfunctional cross-check (256-bit modexp on BP model): %s "
                 "(%llu MMMs)\n",
                 got == expect ? "OK" : "MISMATCH",
-                static_cast<unsigned long long>(mmm_count));
+                static_cast<unsigned long long>(stats.mmm_invocations));
   }
 
   // --- radix ablation (Blum-Paar high-radix [4]) ---

@@ -16,7 +16,7 @@
 
 #include "bench_json.hpp"
 #include "bignum/random.hpp"
-#include "core/exponentiator.hpp"
+#include "core/engine.hpp"
 #include "core/interleaved.hpp"
 #include "core/netlist_gen.hpp"
 #include "core/schedule.hpp"
@@ -69,9 +69,9 @@ int main(int argc, char** argv) {
     const BigUInt base = rng.Below(n);
     const BigUInt e = rng.BalancedExactBits(bits);
 
-    mont::core::Exponentiator sequential(n);
     mont::core::EngineStats seq_stats;
-    const BigUInt want = sequential.ModExp(base, e, &seq_stats);
+    const BigUInt want =
+        mont::core::MakeEngine("bit-serial", n)->ModExp(base, e, &seq_stats);
 
     mont::core::InterleavedExponentiator paired(n);
     mont::core::EngineStats pair_stats;

@@ -1,7 +1,7 @@
 // bench_server — the signing-service front-end under load: goodput
 // versus offered load, shed fraction, and latency percentiles.
 //
-// Three sections:
+// Four sections:
 //
 //   * admission_model — single-threaded, so the token-bucket arithmetic
 //     is exact: a tenant with an 8-token burst and an (effectively)
@@ -28,12 +28,19 @@
 //     flight, so past that many threads the excess is refused with typed
 //     BACKPRESSURE: that refusal path is the overload under test, and
 //     goodput counts verified signatures only.
+//   * engine_goodput — one more closed-loop level at T = workers, the
+//     same as the sweep's, on a service whose exponentiations run on
+//     "alg2-ref" (the Algorithm-2 bit loop the word-level kernel
+//     replaced).  Its slices alternate with the sweep's, and the row
+//     reports bit-serial goodput over alg2-ref goodput at that level.
 //
 // The bench gates itself: goodput past saturation must not collapse
-// (highest-load goodput >= 50% of peak goodput), no bad signature may
-// ever be released, and the job-level counters must conserve.  Any
-// violation exits nonzero, so `ctest -L perf` catches an overload
-// regression without needing a calibrated host.
+// (highest-load goodput >= 50% of peak goodput), the bit-serial level
+// must sign at least kMinKernelGoodputRatio x as fast as the alg2-ref
+// level, no bad signature may ever be released, and the job-level
+// counters must conserve.  Any violation exits nonzero, so `ctest -L
+// perf` catches an overload or kernel regression without needing a
+// calibrated host: both gates are ratios measured in one process.
 //
 // Writes BENCH_server.json (bench_json.hpp); --smoke bounds the sweep
 // for the ctest `perf` label.  `--trace-out FILE` attaches an
@@ -70,6 +77,10 @@ constexpr std::uint64_t kNeverRefillTicks = 3'600'000'000'000ull;
 // round until kSliceSeconds have passed: at least 100 ms per level.
 constexpr int kSlices = 4;
 constexpr double kSliceSeconds = 0.025;
+
+// The word-level kernel's end-to-end payoff: at one load level, goodput
+// on "bit-serial" over goodput on "alg2-ref".
+constexpr double kMinKernelGoodputRatio = 10.0;
 
 const mont::crypto::RsaKeyPair& BenchKey() {
   static const mont::crypto::RsaKeyPair key = [] {
@@ -191,9 +202,11 @@ server::Keystore LoadKeystore(std::size_t workers) {
 }
 
 server::SigningService::Options LoadOptions(std::size_t workers,
+                                            const char* engine,
                                             mont::obs::Tracer* tracer) {
   server::SigningService::Options options;
   options.service.workers = workers;
+  options.service.engine_name = engine;
   options.service.tracer = tracer;
   options.admission.queue_high_watermark = 2 * workers;
   return options;
@@ -204,8 +217,8 @@ server::SigningService::Options LoadOptions(std::size_t workers,
 class SweepLevel {
  public:
   SweepLevel(std::size_t threads, std::size_t per_thread, std::size_t workers,
-             mont::obs::Tracer* tracer)
-      : service_(LoadKeystore(workers), LoadOptions(workers, tracer)),
+             const char* engine, mont::obs::Tracer* tracer)
+      : service_(LoadKeystore(workers), LoadOptions(workers, engine, tracer)),
         transport_(service_),
         per_thread_(per_thread),
         latencies_(threads),
@@ -338,9 +351,13 @@ int main(int argc, char** argv) {
               "ok", "refused", "goodput/s", "p50 us", "p95 us", "p99 us");
   std::vector<std::unique_ptr<SweepLevel>> sweep;
   for (const std::size_t threads : levels) {
-    sweep.push_back(std::make_unique<SweepLevel>(threads, per_thread, workers,
-                                                 trace_ptr));
+    sweep.push_back(std::make_unique<SweepLevel>(
+        threads, per_thread, workers, "bit-serial", trace_ptr));
   }
+  // The alg2-ref level joins the slice rotation but not the sweep's
+  // no-collapse gate.
+  sweep.push_back(std::make_unique<SweepLevel>(workers, per_thread, workers,
+                                               "alg2-ref", trace_ptr));
   // Forward on even slices, backward on odd ones, so no level always runs
   // first or last.
   for (int slice = 0; slice < kSlices; ++slice) {
@@ -349,6 +366,8 @@ int main(int argc, char** argv) {
           kSliceSeconds);
     }
   }
+  const SweepPoint alg2 = sweep.back()->Finish();
+  sweep.pop_back();
   std::vector<SweepPoint> points;
   for (const auto& level : sweep) {
     const SweepPoint point = level->Finish();
@@ -388,6 +407,30 @@ int main(int argc, char** argv) {
   std::printf("\ngoodput peak %.1f/s, at max offered load %.1f/s -> %s\n",
               peak, last, no_collapse ? "no collapse" : "COLLAPSE");
 
+  // Self-gate: the kernel's speedup must survive the whole request path.
+  const SweepPoint& kernel = *std::find_if(
+      points.begin(), points.end(),
+      [&](const SweepPoint& point) { return point.threads == workers; });
+  const double kernel_ratio =
+      alg2.goodput_per_sec > 0
+          ? kernel.goodput_per_sec / alg2.goodput_per_sec
+          : 0;
+  const bool kernel_ok = kernel_ratio >= kMinKernelGoodputRatio;
+  std::printf("engine goodput at %zu threads: bit-serial %.1f/s, alg2-ref "
+              "%.1f/s -> %.1fx (gate >= %.0fx) %s\n",
+              workers, kernel.goodput_per_sec, alg2.goodput_per_sec,
+              kernel_ratio, kMinKernelGoodputRatio,
+              kernel_ok ? "ok" : "FAIL");
+  rows.push_back(
+      {{"stage", "engine_goodput"},
+       {"threads", static_cast<unsigned long long>(workers)},
+       {"workers", static_cast<unsigned long long>(workers)},
+       {"engine", "alg2-ref"},
+       {"ok_per_sec_goodput", alg2.goodput_per_sec},
+       {"ok_per_sec_bit_serial", kernel.goodput_per_sec},
+       {"goodput_ratio_wall", kernel_ratio},
+       {"gate_min_wall_ratio", kMinKernelGoodputRatio}});
+
   const std::string path =
       mont::bench::WriteBenchJson("server", rows, {{"smoke", smoke}});
   std::printf("wrote %s\n", path.c_str());
@@ -395,5 +438,5 @@ int main(int argc, char** argv) {
     std::printf("trace: %zu events -> %s (load in ui.perfetto.dev)\n",
                 tracer.EventCount(), trace_out.c_str());
   }
-  return no_collapse ? 0 : 1;
+  return no_collapse && kernel_ok ? 0 : 1;
 }

@@ -21,7 +21,7 @@
 
 #include "bench_json.hpp"
 #include "bignum/random.hpp"
-#include "core/exponentiator.hpp"
+#include "core/engine.hpp"
 #include "core/netlist_gen.hpp"
 #include "core/schedule.hpp"
 #include "fpga/device_model.hpp"
@@ -69,13 +69,13 @@ int main(int argc, char** argv) {
     // (The fast engine is bit-exact vs the clock-level model; each MMM is
     // charged the validated 3l+4.)
     const mont::bignum::BigUInt n = rng.OddExactBits(row.l);
-    mont::core::Exponentiator exponentiator(n);
+    const auto exponentiator = mont::core::MakeEngine("bit-serial", n);
     std::uint64_t total_cycles = 0;
     for (int trial = 0; trial < kTrials; ++trial) {
       const auto base = rng.Below(n);
       const auto exponent = rng.BalancedExactBits(row.l);
       mont::core::EngineStats stats;
-      exponentiator.ModExp(base, exponent, &stats);
+      exponentiator->ModExp(base, exponent, &stats);
       total_cycles += stats.engine_cycles +
                       mont::core::PrecomputeCycles(row.l) +
                       mont::core::PostprocessCycles(row.l);

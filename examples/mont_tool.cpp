@@ -12,7 +12,7 @@
 #include <string>
 
 #include "bignum/random.hpp"
-#include "core/exponentiator.hpp"
+#include "core/engine.hpp"
 #include "core/mmmc.hpp"
 #include "core/netlist_gen.hpp"
 #include "core/schedule.hpp"
@@ -49,10 +49,10 @@ int ModMul(const char* n_hex, const char* x_hex, const char* y_hex) {
 
 int ModExp(const char* n_hex, const char* b_hex, const char* e_hex) {
   const BigUInt n = BigUInt::FromHex(n_hex);
-  mont::core::Exponentiator exp(n);
+  const auto exp = mont::core::MakeEngine("bit-serial", n);
   mont::core::EngineStats stats;
   const BigUInt r =
-      exp.ModExp(BigUInt::FromHex(b_hex), BigUInt::FromHex(e_hex), &stats);
+      exp->ModExp(BigUInt::FromHex(b_hex), BigUInt::FromHex(e_hex), &stats);
   std::printf("b^e mod N = 0x%s\n", r.ToHex().c_str());
   std::printf("%llu squarings, %llu multiplications, %llu MMM cycles on the "
               "MMMC\n",

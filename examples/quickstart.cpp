@@ -10,7 +10,7 @@
 
 #include "bignum/biguint.hpp"
 #include "bignum/montgomery.hpp"
-#include "core/exponentiator.hpp"
+#include "core/engine.hpp"
 #include "core/mmmc.hpp"
 #include "core/schedule.hpp"
 
@@ -43,11 +43,11 @@ int main() {
               reference.MultiplyAlg2(x, y) == product ? "yes" : "NO");
 
   // --- 2. full modular exponentiation (paper Algorithm 3) ---
-  mont::core::Exponentiator exponentiator(n, "mmmc");
+  const auto exponentiator = mont::core::MakeEngine("mmmc", n);
   const BigUInt base{0xdeadbeefull};
   const BigUInt exponent{0x10001ull};  // the RSA public exponent F4
   mont::core::EngineStats stats;
-  const BigUInt power = exponentiator.ModExp(base, exponent, &stats);
+  const BigUInt power = exponentiator->ModExp(base, exponent, &stats);
   std::printf("\n%llu^%llu mod N = 0x%s\n",
               static_cast<unsigned long long>(base.ToUint64()),
               static_cast<unsigned long long>(exponent.ToUint64()),

@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "bignum/random.hpp"
+#include "core/engine.hpp"
 #include "core/netlist_gen.hpp"
 #include "crypto/rsa.hpp"
 #include "fpga/device_model.hpp"
@@ -32,9 +33,12 @@ int main(int argc, char** argv) {
   const mont::bignum::BigUInt ciphertext = RsaPublic(key, message);
   std::printf("ciphertext = 0x%s\n", ciphertext.ToHex().c_str());
 
+  // The private-key operation on the bit-serial engine: the paper's
+  // array products, charged the validated 3l+4 cycles per MMM.
   mont::core::EngineStats stats;
   const mont::bignum::BigUInt decrypted =
-      RsaPrivateOnHardwareModel(key, ciphertext, &stats);
+      mont::core::MakeEngine("bit-serial", key.n)
+          ->ModExp(ciphertext, key.d, &stats);
   std::printf("decrypted  = 0x%s  -> round trip %s\n",
               decrypted.ToHex().c_str(),
               decrypted == message ? "ok" : "FAILED");

@@ -18,14 +18,6 @@ BigUInt BlumPaarRadix2::Multiply(const BigUInt& x, const BigUInt& y) const {
   return engine_->Multiply(x, y);
 }
 
-BigUInt BlumPaarRadix2::ModExp(const BigUInt& base, const BigUInt& exponent,
-                               std::uint64_t* mmm_count) const {
-  core::EngineStats stats;
-  BigUInt out = engine_->ModExp(base, exponent, &stats);
-  if (mmm_count != nullptr) *mmm_count = stats.mmm_invocations;
-  return out;
-}
-
 rtl::Netlist BlumPaarRadix2::BuildProcessingElement() {
   rtl::Netlist nl;
   // The datapath of one regular cell...

@@ -49,12 +49,6 @@ class BlumPaarRadix2 {
   bignum::BigUInt Multiply(const bignum::BigUInt& x,
                            const bignum::BigUInt& y) const;
 
-  /// Modular exponentiation with their pre/post flow (R^2 mod N uses their
-  /// wider R).
-  bignum::BigUInt ModExp(const bignum::BigUInt& base,
-                         const bignum::BigUInt& exponent,
-                         std::uint64_t* mmm_count = nullptr) const;
-
   /// Cycle count for one multiplication on their pipeline: the extra
   /// iteration adds two clock cycles to the 3l+4 schedule.
   static std::uint64_t MultiplyCycles(std::size_t l) { return 3 * l + 6; }

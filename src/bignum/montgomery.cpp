@@ -80,23 +80,6 @@ BigUInt BitSerialMontgomery::FromMont(const BigUInt& x) const {
   return t;
 }
 
-BigUInt BitSerialMontgomery::ModExp(const BigUInt& base,
-                                    const BigUInt& exponent) const {
-  const BigUInt m = base % modulus_;
-  if (exponent.IsZero()) return BigUInt{1} % modulus_;
-  // Pre-computation: feed MR mod 2N into the exponentiator.
-  const BigUInt m_mont = ToMont(m);
-  BigUInt a = m_mont;
-  // Algorithm 3: left-to-right square-and-multiply, top bit consumed by the
-  // initialisation A <- M.
-  for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    a = Multiply(a, a);
-    if (exponent.Bit(i)) a = Multiply(a, m_mont);
-  }
-  // Post-processing: one Montgomery multiplication by 1 removes R.
-  return FromMont(a);
-}
-
 // ---------------------------------------------------------------------------
 // WordMontgomery
 // ---------------------------------------------------------------------------
@@ -291,18 +274,6 @@ BigUInt WordMontgomery::ToMont(const BigUInt& x) const {
 
 BigUInt WordMontgomery::FromMont(const BigUInt& x) const {
   return Multiply(x, BigUInt{1});
-}
-
-BigUInt WordMontgomery::ModExp(const BigUInt& base, const BigUInt& exponent,
-                               Variant variant) const {
-  if (exponent.IsZero()) return BigUInt{1} % modulus_;
-  const BigUInt m_mont = ToMont(base % modulus_);
-  BigUInt a = m_mont;
-  for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    a = Multiply(a, a, variant);
-    if (exponent.Bit(i)) a = Multiply(a, m_mont, variant);
-  }
-  return Multiply(a, BigUInt{1}, variant);
 }
 
 }  // namespace mont::bignum

@@ -8,13 +8,17 @@
 //    subtraction, R = 2^(l+2), Walter's bound 4N < R).  The Algorithm-2
 //    bit loop is the golden model (the oracle) the cycle-accurate systolic
 //    hardware in src/core is checked against; Multiply returns the same
-//    representative through the word-level kernel (bignum/mont_kernel.hpp)
-//    and carries the paper's pre-/post-processing flow for modular
-//    exponentiation (§4.5).
+//    representative through the word-level kernel (bignum/mont_kernel.hpp).
 //
 //  * WordMontgomery — word-level (2^32 radix) CIOS / SOS / FIPS variants as
-//    classified by Koç, Acar & Kaliski.  These serve as software baselines in
-//    bench_software and as the fast arithmetic behind the crypto layer.
+//    classified by Koç, Acar & Kaliski: the references the kernel and the
+//    "word-mont" engine (same R = 2^(32s)) are tested against, and the
+//    software baselines in bench_software.
+//
+// Neither exponentiates: the §4.5 flow (pre-computation, left-to-right
+// square-and-multiply, Mont(·, 1)) exists once, in core/exp_scan.hpp;
+// run it through core::MmmEngine::ModExp on the engine whose Multiply is
+// one of these products.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +72,6 @@ class BitSerialMontgomery {
   /// final step is bounded by N (reduced below N here for API convenience).
   BigUInt FromMont(const BigUInt& x) const;
 
-  /// Modular exponentiation per the paper's §4.5 flow: pre-multiply by
-  /// R^2 mod N, left-to-right square-and-multiply over Multiply, then a
-  /// final Mont(·, 1).  Returns base^exponent mod N.
-  BigUInt ModExp(const BigUInt& base, const BigUInt& exponent) const;
-
  private:
   BigUInt modulus_;
   BigUInt modulus_times_two_;
@@ -108,11 +107,6 @@ class WordMontgomery {
 
   BigUInt ToMont(const BigUInt& x) const;
   BigUInt FromMont(const BigUInt& x) const;
-
-  /// base^exponent mod N via left-to-right square-and-multiply in the
-  /// Montgomery domain with the chosen multiplication variant.
-  BigUInt ModExp(const BigUInt& base, const BigUInt& exponent,
-                 Variant variant = Variant::kCios) const;
 
  private:
   using Limb = BigUInt::Limb;

@@ -9,6 +9,7 @@
 #include "bignum/gf2.hpp"
 #include "bignum/mont_kernel.hpp"
 #include "bignum/montgomery.hpp"
+#include "core/exp_scan.hpp"
 #include "core/high_radix.hpp"
 #include "core/interleaved.hpp"
 #include "core/mmmc.hpp"
@@ -119,39 +120,21 @@ BigUInt MmmEngine::Reduce(BigUInt v) const {
 
 BigUInt MmmEngine::ModExp(const BigUInt& base, const BigUInt& exponent,
                           EngineStats* stats) const {
-  if (exponent.IsZero()) return Reduce(BigUInt{1});
-  const BigUInt m = Reduce(base);
-
+  detail::ModExpStream stream(*this, base, exponent, stats);
+  std::uint64_t issues = 0;
   std::uint64_t cycles = 0;
-  EngineStats local;
-  // Pre-computation: M*R = Mont(M, R^2) — one MMM like any other (§4.5).
-  const BigUInt m_mont = Multiply(m, MontFactor(), &cycles);
-  ++local.mmm_invocations;
-
-  // Algorithm 3: A <- M~; scan remaining exponent bits left to right.
-  BigUInt a = m_mont;
-  for (std::size_t i = exponent.BitLength() - 1; i-- > 0;) {
-    a = Multiply(a, a, &cycles);
-    ++local.squarings;
-    ++local.mmm_invocations;
-    if (exponent.Bit(i)) {
-      a = Multiply(a, m_mont, &cycles);
-      ++local.multiplications;
-      ++local.mmm_invocations;
-    }
+  while (!stream.Done()) {
+    const BigUInt* x = nullptr;
+    const BigUInt* y = nullptr;
+    stream.NextOperands(&x, &y);
+    stream.Consume(Multiply(*x, *y, &cycles));
+    ++issues;
   }
-
-  // Post-processing: Mont(A, 1) strips R; reduce to the canonical range.
-  BigUInt out = Reduce(Multiply(a, BigUInt{1}, &cycles));
-  ++local.mmm_invocations;
-
   if (stats != nullptr) {
-    local.engine_cycles = cycles;
-    local.paper_model_cycles =
-        ExponentiationCycles(l_, local.squarings, local.multiplications);
-    *stats += local;
+    stats->single_issues += issues;
+    stats->engine_cycles += cycles;
   }
-  return out;
+  return stream.Result();
 }
 
 // ---------------------------------------------------------------------------

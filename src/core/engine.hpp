@@ -8,7 +8,7 @@
 // parameter), the Algorithm-2 bit loop they are checked against, and the
 // Blum–Paar comparison design.  Each used to
 // expose a bespoke constructor/Multiply/stats shape, so every caller
-// (exponentiator, service, crypto, benches) hard-coded one backend.
+// (service, crypto, benches) hard-coded one backend.
 //
 // `MmmEngine` is the one API they all satisfy:
 //
@@ -18,9 +18,10 @@
 //                    engines, charged per the validated formula otherwise);
 //   * ToMont() / FromMont() / Reduce() — domain entry/exit and canonical
 //                    reduction, built on Multiply via MontFactor();
-//   * ModExp()     — generic left-to-right square-and-multiply (§4.5,
-//                    Algorithm 3) over Multiply, with normalized
-//                    `EngineStats`;
+//   * ModExp()     — the solo §4.5 exponentiation (Algorithm 3) over
+//                    Multiply, with normalized `EngineStats`; the one
+//                    left-to-right scan under it (core/exp_scan.hpp) is
+//                    shared with PairedModExp;
 //   * Caps()       — capability flags: dual-field GF(2^m) support,
 //                    dual-modulus pairing, batch lanes, cycle accuracy.
 //
@@ -78,15 +79,14 @@ struct EngineCaps {
 };
 
 /// Normalized per-workload accounting, shared by every backend and every
-/// caller (exponentiator, paired exponentiation, service jobs).  Subsumes
-/// the former ExponentiationStats and PairedExpStats.
+/// caller (solo ModExp, paired exponentiation, service jobs).
 struct EngineStats {
   std::uint64_t squarings = 0;
   std::uint64_t multiplications = 0;  ///< conditional multiplies (set bits)
   std::uint64_t mmm_invocations = 0;  ///< includes domain entry/exit
-  /// Issue accounting when the workload ran under the dual-channel
-  /// scheduler: paired issues carry two MMMs in 3l+5 cycles, single
-  /// issues one MMM at the engine's per-multiply cost.
+  /// Issue accounting: paired issues carry two MMMs in 3l+5 cycles
+  /// (PairedModExp), single issues one MMM at the engine's per-multiply
+  /// cost (every MMM of a solo MmmEngine::ModExp, and a pair's leftovers).
   std::uint64_t paired_issues = 0;
   std::uint64_t single_issues = 0;
   /// Engine occupancy: the sum of per-multiply cycle counts (measured for
@@ -171,7 +171,14 @@ class MmmEngine {
   /// base^exponent fully reduced, via left-to-right square-and-multiply
   /// with Montgomery pre-/post-processing exactly as in §4.5 — the same
   /// flow for every backend and both fields (for GF(2^m) this is field
-  /// exponentiation, e.g. Fermat inversion a^(2^m-2)).
+  /// exponentiation, e.g. Fermat inversion a^(2^m-2)).  The one entry
+  /// point for a solo exponentiation: it drives the same scan
+  /// (core/exp_scan.hpp) that PairedModExp zips in pairs, and the
+  /// service's unpaired jobs run here.  Every MMM is one single issue
+  /// charged Multiply's own cycle count, so `stats` gains
+  /// mmm_invocations = squarings + multiplications + 2 (0 for exponent
+  /// 0), single_issues = mmm_invocations, and engine_cycles = their sum
+  /// (measured on the cycle-accurate engines, the model otherwise).
   bignum::BigUInt ModExp(const bignum::BigUInt& base,
                          const bignum::BigUInt& exponent,
                          EngineStats* stats = nullptr) const;

@@ -9,195 +9,16 @@
 #include <stdexcept>
 
 #include "bignum/mont_lanes.hpp"
+#include "core/exp_scan.hpp"
 #include "core/interleaved.hpp"
 
 namespace mont::core {
 
 using bignum::BigUInt;
+using detail::ExpScan;
+using detail::ModExpStream;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// ExpScan — one exponentiation unrolled into its MMM dependency chain
-// ---------------------------------------------------------------------------
-
-// Left-to-right square-and-multiply (§4.5, Algorithm 3) as a sequence of
-// MMMs: Next() names the one this job needs next (domain entry, square,
-// multiply by the base, domain exit) and Advance() records it in the job's
-// EngineStats and moves on.  The scan owns the exponent walk and every
-// stats decision; the operands live with whoever computes the products
-// (ModExpStream keeps BigUInts, PairOnLanes keeps 52-bit digits).  Every
-// MMM depends on the previous one *of the same job*, so two scans can be
-// zipped issue-for-issue onto the two channels of one array without any
-// cross-job hazard.
-class ExpScan {
- public:
-  enum class Op { kPre, kSquare, kMultiply, kPost, kDone };
-
-  /// `exponent` must outlive the scan; exponent 0 needs no MMM at all.
-  ExpScan(const BigUInt& exponent, std::size_t l, EngineStats* stats)
-      : exponent_(exponent), l_(l), stats_(stats) {
-    if (!exponent_.IsZero()) {
-      next_i_ = exponent_.BitLength() - 1;
-      op_ = Op::kPre;
-    }
-  }
-
-  Op Next() const { return op_; }
-  bool Done() const { return op_ == Op::kDone; }
-
-  /// The product Next() asked for has been computed and stored.
-  void Advance() {
-    if (stats_ != nullptr) ++stats_->mmm_invocations;
-    switch (op_) {
-      case Op::kPre:
-        AdvanceIteration();
-        return;
-      case Op::kSquare:
-        ++squarings_;
-        if (stats_ != nullptr) ++stats_->squarings;
-        if (exponent_.Bit(next_i_)) {
-          op_ = Op::kMultiply;
-        } else {
-          AdvanceIteration();
-        }
-        return;
-      case Op::kMultiply:
-        ++multiplications_;
-        if (stats_ != nullptr) ++stats_->multiplications;
-        AdvanceIteration();
-        return;
-      case Op::kPost:
-        if (stats_ != nullptr) {
-          // Accumulate this job's delta (like every other EngineStats
-          // field), not a figure recomputed from the cumulative counters:
-          // callers may reuse one stats struct across jobs.
-          stats_->paper_model_cycles +=
-              ExponentiationCycles(l_, squarings_, multiplications_);
-        }
-        op_ = Op::kDone;
-        return;
-      case Op::kDone:
-        break;
-    }
-    throw std::logic_error("ExpScan: advance after completion");
-  }
-
- private:
-  // Exponent bit i is handled by the iteration entered when next_i_ == i;
-  // the scan covers bits BitLength()-2 .. 0 (the top bit is the initial A).
-  void AdvanceIteration() {
-    if (next_i_ == 0) {
-      op_ = Op::kPost;
-    } else {
-      --next_i_;
-      op_ = Op::kSquare;
-    }
-  }
-
-  const BigUInt& exponent_;
-  std::size_t l_;
-  EngineStats* stats_;
-  std::uint64_t squarings_ = 0;        // this job's own operation counts,
-  std::uint64_t multiplications_ = 0;  // independent of the caller's struct
-  std::size_t next_i_ = 0;
-  Op op_ = Op::kDone;
-};
-
-// One scan's operands as BigUInts against one MmmEngine, which supplies
-// the field semantics (GF(p) or GF(2^m)) via MontFactor/Reduce:
-// NextOperands() exposes the operands of the next MMM, Consume() stores
-// the product and advances the scan.
-class ModExpStream {
- public:
-  ModExpStream(const MmmEngine& engine, const BigUInt& base,
-               const BigUInt& exponent, EngineStats* stats)
-      : engine_(engine), scan_(exponent, engine.l(), stats) {
-    if (scan_.Done()) {
-      result_ = engine_.Reduce(BigUInt{1});
-    } else {
-      m_ = engine_.Reduce(base);
-    }
-  }
-
-  const ExpScan& Scan() const { return scan_; }
-  bool Done() const { return scan_.Done(); }
-
-  /// Operands of the next MMM; pointers stay valid until Consume().
-  void NextOperands(const BigUInt** x, const BigUInt** y) const {
-    switch (scan_.Next()) {
-      case ExpScan::Op::kPre:
-        *x = &m_;
-        *y = &engine_.MontFactor();
-        return;
-      case ExpScan::Op::kSquare:
-        *x = &a_;
-        *y = &a_;
-        return;
-      case ExpScan::Op::kMultiply:
-        *x = &a_;
-        *y = &m_mont_;
-        return;
-      case ExpScan::Op::kPost:
-        *x = &a_;
-        *y = &one_;
-        return;
-      case ExpScan::Op::kDone:
-        break;
-    }
-    throw std::logic_error("ModExpStream: no operands after completion");
-  }
-
-  void Consume(BigUInt product) {
-    switch (scan_.Next()) {
-      case ExpScan::Op::kPre:
-        m_mont_ = std::move(product);
-        a_ = m_mont_;
-        break;
-      case ExpScan::Op::kSquare:
-      case ExpScan::Op::kMultiply:
-        a_ = std::move(product);
-        break;
-      case ExpScan::Op::kPost:
-        result_ = engine_.Reduce(std::move(product));
-        break;
-      case ExpScan::Op::kDone:
-        throw std::logic_error("ModExpStream: consume after completion");
-    }
-    scan_.Advance();
-  }
-
-  const BigUInt& Result() const { return result_; }
-
- private:
-  const MmmEngine& engine_;
-  ExpScan scan_;
-  const BigUInt one_{1};
-  BigUInt m_;       // base, canonically reduced
-  BigUInt m_mont_;  // base in the Montgomery domain
-  BigUInt a_;       // accumulator
-  BigUInt result_;
-};
-
-/// Runs one stream to completion on its own (single-channel issues only),
-/// charging the engine's per-multiply model per MMM into `stats`.
-BigUInt RunSoloStream(const MmmEngine& engine, const BigUInt& base,
-                      const BigUInt& exponent, EngineStats* stats) {
-  ModExpStream stream(engine, base, exponent, stats);
-  std::uint64_t issues = 0;
-  while (!stream.Done()) {
-    const BigUInt* x = nullptr;
-    const BigUInt* y = nullptr;
-    stream.NextOperands(&x, &y);
-    stream.Consume(engine.Multiply(*x, *y));
-    ++issues;
-  }
-  if (stats != nullptr) {
-    stats->single_issues += issues;
-    stats->engine_cycles += issues * engine.MultiplyCyclesModel();
-  }
-  return stream.Result();
-}
 
 /// The issue sequence of a paired exponentiation: while both scans still
 /// have work every issue carries one MMM of each, a dual-channel pair
@@ -599,9 +420,8 @@ ExecutionCore::Outcome ExecutionCore::RunGroup(
         const auto engine = AcquireEngine(
             ResolveEngineName(group[i]->options), group[i]->modulus);
         ExpResult& result = outcome.results[i];
-        result.value =
-            RunSoloStream(*engine, group[i]->base,
-                          EffectiveExponent(*group[i]), &result.stats);
+        result.value = engine->ModExp(
+            group[i]->base, EffectiveExponent(*group[i]), &result.stats);
         PublishGroupStats(result.stats);
       }
     }

@@ -39,12 +39,13 @@
 // may override the backend and request exponent blinding (the sca lab's
 // schedule countermeasure) through ExpJobOptions.
 //
-// PairedModExp() is the engine underneath the pairing path and is exposed
-// directly: it zips the MMM streams of two independent exponentiations
-// (which may use two different equal-length moduli — see the dual-modulus
-// InterleavedMmmc) through any two backends of equal operand length, and
-// can optionally run every product clock-by-clock on a dual-channel array
-// model.  On an AVX-512 IFMA CPU the bit-serial backend's pairs run both
+// Every job runs the one §4.5 scan (core/exp_scan.hpp): a solo job is
+// MmmEngine::ModExp on its cached engine, a co-scheduled pair is
+// PairedModExp.  PairedModExp() is exposed directly: it zips the MMM
+// streams of two independent exponentiations (which may use two
+// different equal-length moduli — see the dual-modulus InterleavedMmmc)
+// through any two backends of equal operand length, and can optionally
+// run every product clock-by-clock on a dual-channel array model.  On an AVX-512 IFMA CPU the bit-serial backend's pairs run both
 // channels in SIMD lanes (bignum/mont_lanes.hpp).  All execution paths
 // are bit-identical; tests assert it.
 #pragma once
@@ -91,7 +92,8 @@ struct PairedExpResult {
 /// every issue carries one MMM of each (3l+5 cycles for the two); once the
 /// shorter job drains, the leftover stream issues singly (3l+4).  The two
 /// engines may hold different moduli but must have equal operand length.
-/// One §4.5 scan per job makes the exponent walk and every stats decision,
+/// One §4.5 scan per job (core/exp_scan.hpp, the same one under
+/// MmmEngine::ModExp) makes the exponent walk and every stats decision,
 /// whichever of three places computes the products:
 ///
 ///   * `array` non-null: every product runs clock-by-clock on that

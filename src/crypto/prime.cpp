@@ -1,11 +1,13 @@
-#include "bignum/prime.hpp"
+#include "crypto/prime.hpp"
 
 #include <array>
 #include <stdexcept>
 
-#include "bignum/montgomery.hpp"
+#include "core/engine.hpp"
 
-namespace mont::bignum {
+namespace mont::crypto {
+
+using bignum::BigUInt;
 
 namespace {
 
@@ -26,8 +28,8 @@ constexpr std::array<std::uint32_t, 168> kSmallPrimes = {
 
 bool MillerRabinWitness(const BigUInt& n, const BigUInt& n_minus_1,
                         const BigUInt& odd_part, std::size_t twos,
-                        const WordMontgomery& ctx, const BigUInt& base) {
-  BigUInt x = ctx.ModExp(base, odd_part);
+                        const core::MmmEngine& engine, const BigUInt& base) {
+  BigUInt x = engine.ModExp(base, odd_part);
   if (x.IsOne() || x == n_minus_1) return false;
   for (std::size_t i = 1; i < twos; ++i) {
     x = (x * x) % n;
@@ -39,7 +41,8 @@ bool MillerRabinWitness(const BigUInt& n, const BigUInt& n_minus_1,
 
 }  // namespace
 
-bool IsProbablePrime(const BigUInt& candidate, RandomBigUInt& rng, int rounds) {
+bool IsProbablePrime(const BigUInt& candidate, bignum::RandomBigUInt& rng,
+                     int rounds) {
   if (candidate < BigUInt{2}) return false;
   for (const std::uint32_t p : kSmallPrimes) {
     const BigUInt prime{p};
@@ -54,25 +57,27 @@ bool IsProbablePrime(const BigUInt& candidate, RandomBigUInt& rng, int rounds) {
     odd_part >>= 1;
     ++twos;
   }
-  const WordMontgomery ctx(candidate);
+  const auto engine = core::MakeEngine("word-mont", candidate);
   const BigUInt two{2}, three{3};
-  if (MillerRabinWitness(candidate, n_minus_1, odd_part, twos, ctx, two)) {
-    return false;
-  }
-  if (MillerRabinWitness(candidate, n_minus_1, odd_part, twos, ctx, three)) {
-    return false;
+  for (const BigUInt* base : {&two, &three}) {
+    if (MillerRabinWitness(candidate, n_minus_1, odd_part, twos, *engine,
+                           *base)) {
+      return false;
+    }
   }
   for (int round = 0; round < rounds; ++round) {
     const BigUInt base =
         rng.Below(candidate - BigUInt{3}) + BigUInt{2};  // in [2, n-2]
-    if (MillerRabinWitness(candidate, n_minus_1, odd_part, twos, ctx, base)) {
+    if (MillerRabinWitness(candidate, n_minus_1, odd_part, twos, *engine,
+                           base)) {
       return false;
     }
   }
   return true;
 }
 
-BigUInt GeneratePrime(std::size_t bits, RandomBigUInt& rng, int rounds) {
+BigUInt GeneratePrime(std::size_t bits, bignum::RandomBigUInt& rng,
+                      int rounds) {
   if (bits < 2) throw std::invalid_argument("GeneratePrime: bits must be >= 2");
   for (;;) {
     BigUInt candidate = rng.OddExactBits(bits);
@@ -90,4 +95,4 @@ BigUInt GeneratePrime(std::size_t bits, RandomBigUInt& rng, int rounds) {
   }
 }
 
-}  // namespace mont::bignum
+}  // namespace mont::crypto

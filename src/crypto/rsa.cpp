@@ -7,8 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "bignum/montgomery.hpp"
-#include "bignum/prime.hpp"
+#include "crypto/prime.hpp"
 #include "obs/trace.hpp"
 
 namespace mont::crypto {
@@ -23,9 +22,9 @@ RsaKeyPair GenerateRsaKey(std::size_t modulus_bits,
   const std::size_t half = modulus_bits / 2;
   for (;;) {
     RsaKeyPair key;
-    key.p = bignum::GeneratePrime(half, rng);
+    key.p = GeneratePrime(half, rng);
     do {
-      key.q = bignum::GeneratePrime(half, rng);
+      key.q = GeneratePrime(half, rng);
     } while (key.q == key.p);
     key.n = key.p * key.q;
     if (key.n.BitLength() != modulus_bits) continue;  // forced top bits make
@@ -398,15 +397,6 @@ bool RsaCrtResultOk(const core::MmmEngine& verify_engine,
                     const RsaKeyPair& key, const BigUInt& input,
                     const BigUInt& sig) {
   return verify_engine.ModExp(sig, key.e) == input;
-}
-
-BigUInt RsaPrivateOnHardwareModel(const RsaKeyPair& key, const BigUInt& c,
-                                  core::EngineStats* stats,
-                                  std::string_view engine) {
-  if (c >= key.n) {
-    throw std::invalid_argument("RsaPrivateOnHardwareModel: input >= modulus");
-  }
-  return core::MakeEngine(engine, key.n)->ModExp(c, key.d, stats);
 }
 
 }  // namespace mont::crypto

@@ -167,11 +167,4 @@ bool RsaCrtResultOk(const core::MmmEngine& verify_engine,
                     const RsaKeyPair& key, const bignum::BigUInt& input,
                     const bignum::BigUInt& sig);
 
-/// Private-key operation on the hardware-modelled exponentiator; returns
-/// the exponentiation statistics (cycle counts per the validated model).
-bignum::BigUInt RsaPrivateOnHardwareModel(const RsaKeyPair& key,
-                                          const bignum::BigUInt& c,
-                                          core::EngineStats* stats,
-                                          std::string_view engine = "bit-serial");
-
 }  // namespace mont::crypto

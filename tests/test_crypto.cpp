@@ -1,13 +1,15 @@
-// Tests for the application layer: RSA key generation / round trips / CRT,
-// and ECC point multiplication (the paper's future-work direction) with
-// exhaustive checks on a tiny curve plus known-structure checks on P-192.
+// Tests for the application layer: primality testing, RSA key generation /
+// round trips / CRT, and ECC point multiplication (the paper's future-work
+// direction) with exhaustive checks on a tiny curve plus known-structure
+// checks on P-192.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "bignum/prime.hpp"
 #include "bignum/random.hpp"
+#include "core/engine.hpp"
 #include "crypto/ecc.hpp"
+#include "crypto/prime.hpp"
 #include "crypto/rsa.hpp"
 #include "testutil.hpp"
 
@@ -16,6 +18,51 @@ namespace {
 
 using bignum::BigUInt;
 using bignum::RandomBigUInt;
+
+// ---------------------------------------------------------------------------
+// Primality (Miller-Rabin on the "word-mont" engine's ModExp)
+// ---------------------------------------------------------------------------
+
+TEST(Primality, SmallKnownValues) {
+  auto rng = test::TestRng();
+  EXPECT_FALSE(IsProbablePrime(BigUInt{0}, rng));
+  EXPECT_FALSE(IsProbablePrime(BigUInt{1}, rng));
+  EXPECT_TRUE(IsProbablePrime(BigUInt{2}, rng));
+  EXPECT_TRUE(IsProbablePrime(BigUInt{3}, rng));
+  EXPECT_FALSE(IsProbablePrime(BigUInt{4}, rng));
+  EXPECT_TRUE(IsProbablePrime(BigUInt{997}, rng));
+  EXPECT_FALSE(IsProbablePrime(BigUInt{1001}, rng));  // 7 * 11 * 13
+  EXPECT_TRUE(IsProbablePrime(BigUInt{1000003}, rng));
+  EXPECT_FALSE(IsProbablePrime(BigUInt{1000001}, rng));  // 101 * 9901
+}
+
+TEST(Primality, CarmichaelNumbersRejected) {
+  auto rng = test::TestRng();
+  // Carmichael numbers fool Fermat tests but not Miller-Rabin.
+  for (const std::uint64_t c : {561ull, 1105ull, 1729ull, 41041ull, 825265ull}) {
+    EXPECT_FALSE(IsProbablePrime(BigUInt{c}, rng)) << c;
+  }
+}
+
+TEST(Primality, KnownLargePrime) {
+  auto rng = test::TestRng();
+  // 2^127 - 1 is a Mersenne prime; 2^128 - 1 is composite.
+  const BigUInt m127 = BigUInt::PowerOfTwo(127) - BigUInt{1};
+  const BigUInt m128 = BigUInt::PowerOfTwo(128) - BigUInt{1};
+  EXPECT_TRUE(IsProbablePrime(m127, rng));
+  EXPECT_FALSE(IsProbablePrime(m128, rng));
+}
+
+TEST(Primality, GeneratePrimeHasRequestedShape) {
+  auto rng = test::TestRng();
+  for (const std::size_t bits : {32u, 64u, 128u}) {
+    const BigUInt p = GeneratePrime(bits, rng, 16);
+    EXPECT_EQ(p.BitLength(), bits);
+    EXPECT_TRUE(p.Bit(bits - 2)) << "second-highest bit must be forced";
+    EXPECT_TRUE(p.IsOdd());
+    EXPECT_TRUE(IsProbablePrime(p, rng, 16));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // RSA
@@ -67,7 +114,8 @@ TEST(Rsa, HardwareModelAgreesAndReportsCycles) {
   const BigUInt m = rng.Below(key.n);
   const BigUInt c = RsaPublic(key, m);
   core::EngineStats stats;
-  EXPECT_EQ(RsaPrivateOnHardwareModel(key, c, &stats), m);
+  EXPECT_EQ(core::MakeEngine("bit-serial", key.n)->ModExp(c, key.d, &stats),
+            m);
   EXPECT_GT(stats.engine_cycles, 0u);
   EXPECT_EQ(stats.mmm_invocations,
             stats.squarings + stats.multiplications + 2);
@@ -80,9 +128,6 @@ TEST(Rsa, MessageOutOfRangeThrows) {
   EXPECT_THROW(RsaPrivate(key, key.n + BigUInt{1}), std::invalid_argument);
   EXPECT_THROW(RsaPrivateCrt(key, key.n), std::invalid_argument);
   EXPECT_THROW(RsaPrivateCrtPaired(key, key.n), std::invalid_argument);
-  core::EngineStats stats;
-  EXPECT_THROW(RsaPrivateOnHardwareModel(key, key.n, &stats),
-               std::invalid_argument);
 }
 
 // Bellcore/Lenstra fault hygiene: a faulty CRT half-exponentiation yields

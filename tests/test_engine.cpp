@@ -5,6 +5,10 @@
 //     bit-identical on a shared operand sweep — plain products through the
 //     ToMont/Multiply/FromMont round trip, and full ModExp — in GF(p) and,
 //     where supported, GF(2^m);
+//   * the one §4.5 scan: on every backend and field, MmmEngine::ModExp, a
+//     one-job DeterministicExecutor solo run and the reference agree on
+//     edge exponents and out-of-window bases, and the two engine paths
+//     report identical EngineStats (one single issue per MMM);
 //   * raw Montgomery products agree across the engines sharing the
 //     paper's parameter R = 2^(l+2);
 //   * batch lanes (netlist-sim) match the scalar path;
@@ -18,6 +22,7 @@
 #include "bignum/montgomery.hpp"
 #include "bignum/random.hpp"
 #include "core/engine.hpp"
+#include "core/exp_service.hpp"
 #include "core/schedule.hpp"
 #include "testutil.hpp"
 
@@ -27,6 +32,99 @@ namespace {
 using bignum::BigUInt;
 
 std::vector<std::string> AllNames() { return EngineRegistry::Global().Names(); }
+
+void ExpectStatsEqual(const EngineStats& got, const EngineStats& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.squarings, want.squarings) << where;
+  EXPECT_EQ(got.multiplications, want.multiplications) << where;
+  EXPECT_EQ(got.mmm_invocations, want.mmm_invocations) << where;
+  EXPECT_EQ(got.paired_issues, want.paired_issues) << where;
+  EXPECT_EQ(got.single_issues, want.single_issues) << where;
+  EXPECT_EQ(got.engine_cycles, want.engine_cycles) << where;
+  EXPECT_EQ(got.paper_model_cycles, want.paper_model_cycles) << where;
+  EXPECT_EQ(got.cancelled, want.cancelled) << where;
+}
+
+/// One backend over one modulus, exponentiated two ways: MmmEngine::ModExp
+/// directly, and as a one-job solo run through a DeterministicExecutor on
+/// the same backend.  Check() compares both with the reference value and
+/// with each other, stat for stat, and asserts the solo accounting.
+class OneScanCheck {
+ public:
+  OneScanCheck(const std::string& name, const BigUInt& modulus,
+               const EngineOptions& options = {})
+      : engine_(MakeEngine(name, modulus, options)),
+        executor_(ServiceOptions(name, options)) {}
+
+  const MmmEngine& Engine() const { return *engine_; }
+
+  void Check(const BigUInt& base, const BigUInt& exponent,
+             const BigUInt& want) {
+    const std::string where = std::string(engine_->Name()) + " " +
+                              EngineFieldName(engine_->Field()) +
+                              " N=" + engine_->Modulus().ToHex() +
+                              " base=" + base.ToHex() +
+                              " e=" + exponent.ToHex();
+    EngineStats direct;
+    EXPECT_EQ(engine_->ModExp(base, exponent, &direct), want) << where;
+
+    auto future = executor_.SubmitAt(executor_.Now(), engine_->Modulus(),
+                                     base, exponent);
+    executor_.RunUntilIdle();
+    const ExpResult solo = future.get();
+    EXPECT_FALSE(solo.paired) << where;
+    EXPECT_EQ(solo.value, want) << where;
+    ExpectStatsEqual(solo.stats, direct, where);
+
+    const std::uint64_t mmm =
+        exponent.IsZero() ? 0 : direct.squarings + direct.multiplications + 2;
+    if (!exponent.IsZero()) {
+      EXPECT_EQ(direct.squarings, exponent.BitLength() - 1) << where;
+    }
+    EXPECT_EQ(direct.mmm_invocations, mmm) << where;
+    EXPECT_EQ(direct.single_issues, mmm) << where;
+    EXPECT_EQ(direct.paired_issues, 0u) << where;
+    EXPECT_EQ(direct.engine_cycles, mmm * engine_->MultiplyCyclesModel())
+        << where;
+    EXPECT_EQ(direct.paper_model_cycles,
+              exponent.IsZero()
+                  ? 0
+                  : ExponentiationCycles(engine_->l(), direct.squarings,
+                                         direct.multiplications))
+        << where;
+  }
+
+ private:
+  static ExpService::Options ServiceOptions(const std::string& name,
+                                            const EngineOptions& options) {
+    ExpService::Options service;
+    service.workers = 1;
+    service.engine_name = name;
+    service.engine_options = options;
+    return service;
+  }
+
+  std::unique_ptr<MmmEngine> engine_;
+  DeterministicExecutor executor_;
+};
+
+/// 0, 1, 2, all ones, random, and one bit longer than the operands.
+std::vector<BigUInt> EdgeExponents(bignum::RandomBigUInt& rng,
+                                   std::size_t l) {
+  return {BigUInt{0},
+          BigUInt{1},
+          BigUInt{2},
+          BigUInt::PowerOfTwo(l) - BigUInt{1},
+          rng.ExactBits(l),
+          rng.ExactBits(l + 1)};
+}
+
+/// 0, 1, N-1, N, and two random values >= N (one below 2N, one wider).
+std::vector<BigUInt> EdgeBases(bignum::RandomBigUInt& rng, const BigUInt& n) {
+  return {BigUInt{0},        BigUInt{1},
+          n - BigUInt{1},    n,
+          n + rng.Below(n),  rng.ExactBits(2 * n.BitLength())};
+}
 
 TEST(EngineRegistry, ListsAllBuiltinBackends) {
   const auto names = AllNames();
@@ -100,27 +198,25 @@ TEST(EngineMatrix, AllBackendsBitIdenticalOnGfpSweep) {
   auto rng = test::TestRng();
   for (const std::size_t bits : {5u, 9u, 12u}) {
     const BigUInt n = rng.OddExactBits(bits);
-    std::vector<std::unique_ptr<MmmEngine>> engines;
     for (const std::string& name : AllNames()) {
-      engines.push_back(MakeEngine(name, n));
-      EXPECT_EQ(engines.back()->Modulus(), n);
-      EXPECT_EQ(engines.back()->l(), bits);
-    }
-    for (int trial = 0; trial < 6; ++trial) {
-      // Operands below N sit inside every backend's chainable window.
-      const BigUInt x = rng.Below(n), y = rng.Below(n);
-      const BigUInt want_product = (x * y) % n;
-      const BigUInt e = rng.ExactBits(bits);
-      const BigUInt want_power = BigUInt::ModExp(x, e, n);
-      for (const auto& engine : engines) {
-        // Plain product through the engine's own Montgomery domain.
-        EXPECT_EQ(engine->FromMont(
-                      engine->Multiply(engine->ToMont(x), engine->ToMont(y))),
-                  want_product)
-            << engine->Name() << " bits=" << bits;
-        // Full exponentiation.
-        EXPECT_EQ(engine->ModExp(x, e), want_power)
-            << engine->Name() << " bits=" << bits;
+      OneScanCheck check(name, n);
+      const MmmEngine& engine = check.Engine();
+      EXPECT_EQ(engine.Modulus(), n);
+      EXPECT_EQ(engine.l(), bits);
+      for (int trial = 0; trial < 6; ++trial) {
+        // Operands below N sit inside every backend's chainable window;
+        // a plain product through the engine's own Montgomery domain.
+        const BigUInt x = rng.Below(n), y = rng.Below(n);
+        EXPECT_EQ(engine.FromMont(
+                      engine.Multiply(engine.ToMont(x), engine.ToMont(y))),
+                  (x * y) % n)
+            << name << " bits=" << bits;
+      }
+      // Full exponentiation, every solo path.
+      for (const BigUInt& e : EdgeExponents(rng, bits)) {
+        for (const BigUInt& x : EdgeBases(rng, n)) {
+          check.Check(x, e, BigUInt::ModExp(x, e, n));
+        }
       }
     }
   }
@@ -156,26 +252,26 @@ TEST(EngineMatrix, DualFieldBackendsBitIdenticalOnGf2Sweep) {
     const BigUInt f{poly};
     const std::size_t m = bignum::gf2::Degree(f);
     const bignum::Gf2Field field(f);
-    std::vector<std::unique_ptr<MmmEngine>> engines;
     for (const char* name : {"bit-serial", "mmmc", "netlist-sim"}) {
-      engines.push_back(MakeEngine(name, f, gf2));
-      EXPECT_EQ(engines.back()->Field(), EngineField::kGf2);
-      EXPECT_EQ(engines.back()->l(), m);
-    }
-    for (int trial = 0; trial < 8; ++trial) {
-      const BigUInt a = rng.Below(BigUInt::PowerOfTwo(m));
-      const BigUInt b = rng.Below(BigUInt::PowerOfTwo(m));
-      const BigUInt want_product = field.Mul(a, b);
-      const BigUInt raw = bignum::gf2::MontMul(a, b, f);
-      const BigUInt e = rng.ExactBits(m);
-      const BigUInt want_power = field.Pow(a, e);
-      for (const auto& engine : engines) {
-        EXPECT_EQ(engine->Multiply(a, b), raw) << engine->Name();
-        EXPECT_EQ(engine->FromMont(
-                      engine->Multiply(engine->ToMont(a), engine->ToMont(b))),
-                  want_product)
-            << engine->Name();
-        EXPECT_EQ(engine->ModExp(a, e), want_power) << engine->Name();
+      OneScanCheck check(name, f, gf2);
+      const MmmEngine& engine = check.Engine();
+      EXPECT_EQ(engine.Field(), EngineField::kGf2);
+      EXPECT_EQ(engine.l(), m);
+      for (int trial = 0; trial < 8; ++trial) {
+        const BigUInt a = rng.Below(BigUInt::PowerOfTwo(m));
+        const BigUInt b = rng.Below(BigUInt::PowerOfTwo(m));
+        EXPECT_EQ(engine.Multiply(a, b), bignum::gf2::MontMul(a, b, f))
+            << name;
+        EXPECT_EQ(engine.FromMont(
+                      engine.Multiply(engine.ToMont(a), engine.ToMont(b))),
+                  field.Mul(a, b))
+            << name;
+      }
+      // Bases f-1, f and wider polynomials are reduced mod f first.
+      for (const BigUInt& e : EdgeExponents(rng, m)) {
+        for (const BigUInt& a : EdgeBases(rng, f)) {
+          check.Check(a, e, field.Pow(bignum::gf2::Mod(a, f), e));
+        }
       }
     }
   }
@@ -211,21 +307,25 @@ TEST(Engine, StatsAccountingIsNormalized) {
   const BigUInt n = rng.OddExactBits(24);
   const BigUInt base = rng.Below(n);
   const BigUInt e = rng.BalancedExactBits(24);
-  const auto engine = MakeEngine("bit-serial", n);
-  EngineStats stats;
-  engine->ModExp(base, e, &stats);
-  EXPECT_EQ(stats.mmm_invocations,
-            stats.squarings + stats.multiplications + 2);
-  EXPECT_EQ(stats.engine_cycles,
-            stats.mmm_invocations * MultiplyCycles(engine->l()));
-  EXPECT_EQ(stats.paper_model_cycles,
-            ExponentiationCycles(engine->l(), stats.squarings,
-                                 stats.multiplications));
-  // The cycle-accurate array measures exactly what the model charges.
-  EngineStats measured;
+  const BigUInt want = BigUInt::ModExp(base, e, n);
+  // OneScanCheck asserts the accounting identities on every backend; a
+  // cycle-accurate backend passes them only because it measures exactly
+  // what its model charges.
+  for (const std::string& name : AllNames()) {
+    OneScanCheck(name, n).Check(base, e, want);
+  }
+  const BigUInt f{0x11b};  // x^8 + x^4 + x^3 + x + 1
+  const bignum::Gf2Field field(f);
+  const BigUInt a = rng.Below(BigUInt::PowerOfTwo(8));
+  for (const char* name : {"bit-serial", "mmmc", "netlist-sim"}) {
+    OneScanCheck(name, f, {.field = EngineField::kGf2})
+        .Check(a, e, field.Pow(a, e));
+  }
+  // The cycle-accurate array measures exactly what bit-serial charges.
+  EngineStats charged, measured;
+  MakeEngine("bit-serial", n)->ModExp(base, e, &charged);
   MakeEngine("mmmc", n)->ModExp(base, e, &measured);
-  EXPECT_EQ(measured.engine_cycles, stats.engine_cycles);
-  EXPECT_EQ(measured.squarings, stats.squarings);
+  ExpectStatsEqual(measured, charged, "mmmc vs bit-serial");
 }
 
 TEST(Engine, BaselineDelegatesToRegistryBackend) {
@@ -237,11 +337,8 @@ TEST(Engine, BaselineDelegatesToRegistryBackend) {
     const BigUInt x = rng.Below(n << 1), y = rng.Below(n << 1);
     EXPECT_EQ(baseline_model.Multiply(x, y), engine->Multiply(x, y));
   }
-  std::uint64_t mmm_count = 0;
-  const BigUInt e = rng.ExactBits(16);
-  EXPECT_EQ(baseline_model.ModExp(BigUInt{5}, e, &mmm_count),
-            engine->ModExp(BigUInt{5}, e));
-  EXPECT_GT(mmm_count, 0u);
+  EXPECT_EQ(baseline::BlumPaarRadix2::MultiplyCycles(n.BitLength()),
+            engine->MultiplyCyclesModel());
 }
 
 }  // namespace

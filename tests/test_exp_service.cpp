@@ -5,7 +5,7 @@
 //     scalar oracle, including on two *different* equal-length moduli;
 //   * a 10k-job multi-threaded property/stress run (mixed moduli, mixed
 //     bit lengths, duplicate keys, zero/one/max-bit exponents) checked
-//     bit-for-bit against a scalar Exponentiator oracle;
+//     bit-for-bit against the BigUInt::ModExp reference;
 //   * determinism: paired and unpaired execution agree exactly;
 //   * stats accounting: paired jobs are charged 3l+5 per MMM pair;
 //   * the crypto entry points (RsaPrivateCrtPaired, RsaSignBatch,
@@ -30,7 +30,6 @@
 #include "bignum/montgomery.hpp"
 #include "bignum/random.hpp"
 #include "core/exp_service.hpp"
-#include "core/exponentiator.hpp"
 #include "core/interleaved.hpp"
 #include "core/schedule.hpp"
 #include "crypto/ecc.hpp"
@@ -210,7 +209,7 @@ struct StressJob {
 
 // 10k randomized jobs from multiple submitter threads over a pool of mixed
 // moduli (duplicate bit lengths so opportunistic pairing fires), every
-// result checked bit-for-bit against the scalar Exponentiator oracle.
+// result checked bit-for-bit against the BigUInt::ModExp reference.
 TEST(ExpService, StressManyThreadedJobsMatchScalarOracle) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kJobsPerThread = 2500;
@@ -268,16 +267,12 @@ TEST(ExpService, StressManyThreadedJobsMatchScalarOracle) {
   for (std::thread& submitter : submitters) submitter.join();
   service.Wait();
 
-  // Scalar oracle, one engine per modulus (precomputation paid once).
-  std::vector<Exponentiator> oracles;
-  oracles.reserve(moduli.size());
-  for (const BigUInt& n : moduli) oracles.emplace_back(n);
   for (std::size_t t = 0; t < kThreads; ++t) {
     for (std::size_t j = 0; j < kJobsPerThread; ++j) {
       const StressJob& job = jobs[t][j];
       const ExpService::Result result = futures[t][j].get();
-      ASSERT_EQ(result.value,
-                oracles[job.modulus_index].ModExp(job.base, job.exponent))
+      ASSERT_EQ(result.value, BigUInt::ModExp(job.base, job.exponent,
+                                              moduli[job.modulus_index]))
           << "thread " << t << " job " << j;
     }
   }
@@ -433,9 +428,9 @@ TEST(ExpService, SubmitBatchAndCallbacks) {
   service.Wait();
   EXPECT_EQ(callbacks.load(), 4);
   ASSERT_EQ(futures.size(), bases.size());
-  Exponentiator oracle(n);
   for (std::size_t j = 0; j < futures.size(); ++j) {
-    EXPECT_EQ(futures[j].get().value, oracle.ModExp(bases[j], exponents[j]));
+    EXPECT_EQ(futures[j].get().value,
+              BigUInt::ModExp(bases[j], exponents[j], n));
   }
   EXPECT_THROW(service.SubmitBatch(n, bases, {}), std::invalid_argument);
 }
@@ -604,15 +599,12 @@ TEST(ExpServiceJobOptions, MixedEngineStressMatchesScalarOracle) {
   for (std::thread& submitter : submitters) submitter.join();
   service.Wait();
 
-  std::vector<Exponentiator> oracles;
-  oracles.reserve(moduli.size());
-  for (const BigUInt& n : moduli) oracles.emplace_back(n);
   for (std::size_t t = 0; t < kThreads; ++t) {
     for (std::size_t j = 0; j < kJobsPerThread; ++j) {
       const MixedJob& job = jobs[t][j];
       const ExpService::Result result = futures[t][j].get();
-      ASSERT_EQ(result.value,
-                oracles[job.modulus_index].ModExp(job.base, job.exponent))
+      ASSERT_EQ(result.value, BigUInt::ModExp(job.base, job.exponent,
+                                              moduli[job.modulus_index]))
           << "thread " << t << " job " << j << " engine '"
           << engines[job.engine_index] << "'";
       // word-mont has no pairable streams: such a job must never have
@@ -645,7 +637,7 @@ TEST(ExpServiceJobOptions, OverrideFallsBackToServiceDefault) {
   const BigUInt via_override =
       service.Submit(n, base, exponent, override_options).get().value;
   EXPECT_EQ(via_default, via_override);
-  EXPECT_EQ(via_default, Exponentiator(n).ModExp(base, exponent));
+  EXPECT_EQ(via_default, BigUInt::ModExp(base, exponent, n));
   // Both backends (and only those) populated the cache.
   const auto counters = service.Snapshot();
   EXPECT_EQ(counters.engine_cache_misses, 2u);
@@ -664,7 +656,6 @@ TEST(ExpServiceJobOptions, PairableOverridesPairOnNonPairableDefault) {
   ExpService service(options);
   ExpService::JobOptions pairable;
   pairable.engine_name = "bit-serial";
-  Exponentiator oracle(n);
   std::vector<BigUInt> bases, exponents;
   std::vector<std::future<ExpService::Result>> defaults, overridden;
   for (int j = 0; j < 60; ++j) {
@@ -677,7 +668,7 @@ TEST(ExpServiceJobOptions, PairableOverridesPairOnNonPairableDefault) {
   for (int j = 0; j < 60; ++j) {
     const ExpService::Result via_default = defaults[j].get();
     const ExpService::Result via_override = overridden[j].get();
-    const BigUInt want = oracle.ModExp(bases[j], exponents[j]);
+    const BigUInt want = BigUInt::ModExp(bases[j], exponents[j], n);
     ASSERT_EQ(via_default.value, want);
     ASSERT_EQ(via_override.value, want);
     EXPECT_FALSE(via_default.paired) << "word-serial default must issue solo";
@@ -901,7 +892,7 @@ TEST(DeterministicExecutor, VirtualClockDrivesHoldPairAndUnpairDecisions) {
   EXPECT_GE(records[3].start_tick, 30 + options.unpair_timeout);
 
   // All four virtual runs computed the real answer.
-  const BigUInt expected = Exponentiator(n).ModExp(base, exponent);
+  const BigUInt expected = BigUInt::ModExp(base, exponent, n);
   // (Submit order == record order: ids are assigned at SubmitAt.)
   for (const auto& record : records) {
     EXPECT_GT(record.finish_tick, record.start_tick);
@@ -1181,8 +1172,8 @@ TEST_P(CompletionContract, ThrowingCallbackAndExpiredDeadline) {
   const BigUInt n = rng.OddExactBits(64);
   const BigUInt base_a = rng.Below(n), exponent_a = rng.Below(n);
   const BigUInt base_b = rng.Below(n), exponent_b = rng.Below(n);
-  const BigUInt expected_a = Exponentiator(n).ModExp(base_a, exponent_a);
-  const BigUInt expected_b = Exponentiator(n).ModExp(base_b, exponent_b);
+  const BigUInt expected_a = BigUInt::ModExp(base_a, exponent_a, n);
+  const BigUInt expected_b = BigUInt::ModExp(base_b, exponent_b, n);
 
   std::future<ExpService::Result> first, second, doomed;
   std::atomic<bool> first_called{false};
@@ -1342,15 +1333,13 @@ TEST(ExpService, BurstyMultiTenantStressMatchesOracles) {
   rsa_tenant.join();
   service.Wait();
 
-  std::vector<Exponentiator> oracles;
-  oracles.reserve(moduli.size());
-  for (const BigUInt& n : moduli) oracles.emplace_back(n);
   for (std::size_t t = 0; t < kTenants; ++t) {
     ASSERT_EQ(futures[t].size(), jobs[t].size());
     for (std::size_t j = 0; j < futures[t].size(); ++j) {
       const TenantJob& job = jobs[t][j];
       ASSERT_EQ(futures[t][j].get().value,
-                oracles[job.modulus_index].ModExp(job.base, job.exponent))
+                BigUInt::ModExp(job.base, job.exponent,
+                                moduli[job.modulus_index]))
           << "tenant " << t << " job " << j;
     }
   }

@@ -7,13 +7,13 @@
 #include "baseline/blum_paar.hpp"
 #include "bignum/gf2.hpp"
 #include "bignum/montgomery.hpp"
-#include "bignum/prime.hpp"
 #include "bignum/random.hpp"
-#include "core/exponentiator.hpp"
+#include "core/engine.hpp"
 #include "core/high_radix.hpp"
 #include "core/interleaved.hpp"
 #include "core/mmmc.hpp"
 #include "crypto/ecc.hpp"
+#include "crypto/prime.hpp"
 #include "crypto/rsa.hpp"
 #include "testutil.hpp"
 
@@ -29,12 +29,12 @@ using bignum::RandomBigUInt;
 TEST(Integration, RsaOnCycleAccurateCircuit) {
   auto rng = test::TestRng();
   const crypto::RsaKeyPair key = crypto::GenerateRsaKey(32, rng);
-  core::Exponentiator hw(key.n, "mmmc");
+  const auto hw = core::MakeEngine("mmmc", key.n);
   for (int trial = 0; trial < 3; ++trial) {
     const BigUInt m = rng.Below(key.n);
     const BigUInt c = crypto::RsaPublic(key, m);
     core::EngineStats stats;
-    EXPECT_EQ(hw.ModExp(c, key.d, &stats), m);
+    EXPECT_EQ(hw->ModExp(c, key.d, &stats), m);
     EXPECT_EQ(stats.engine_cycles,
               stats.mmm_invocations * (3 * key.n.BitLength() + 4));
   }
@@ -124,7 +124,7 @@ TEST(Integration, MixedFidelityEcdh) {
 // flow: generate a prime, run Fermat on the dual-channel exponentiator.
 TEST(Integration, FermatOnInterleavedDatapath) {
   auto rng = test::TestRng();
-  const BigUInt p = bignum::GeneratePrime(24, rng, 12);
+  const BigUInt p = crypto::GeneratePrime(24, rng, 12);
   core::InterleavedExponentiator exp(p);
   for (const std::uint64_t base : {2ull, 3ull, 65537ull}) {
     EXPECT_TRUE(exp.ModExp(BigUInt{base} % p, p - BigUInt{1}).IsOne())

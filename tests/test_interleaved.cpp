@@ -6,7 +6,7 @@
 
 #include "bignum/montgomery.hpp"
 #include "bignum/random.hpp"
-#include "core/exponentiator.hpp"
+#include "core/engine.hpp"
 #include "core/interleaved.hpp"
 #include "core/schedule.hpp"
 #include "testutil.hpp"
@@ -114,9 +114,8 @@ TEST(InterleavedExponentiator, FasterThanSequentialAlgorithm3) {
   EngineStats fast_stats;
   const BigUInt a = fast.ModExp(base, e, &fast_stats);
 
-  Exponentiator sequential(n);
   EngineStats seq_stats;
-  const BigUInt b = sequential.ModExp(base, e, &seq_stats);
+  const BigUInt b = MakeEngine("bit-serial", n)->ModExp(base, e, &seq_stats);
 
   ASSERT_EQ(a, b);
   EXPECT_LT(fast_stats.engine_cycles, seq_stats.engine_cycles)

@@ -1,15 +1,43 @@
 // Tests for the software Montgomery references (the golden models that the
-// cycle-accurate hardware simulations are validated against).
+// cycle-accurate hardware simulations are validated against).  Their
+// exponentiation cases run the one §4.5 scan, core::MmmEngine::ModExp,
+// over each reference's products.
 #include <gtest/gtest.h>
+
+#include <string_view>
 
 #include "bignum/biguint.hpp"
 #include "bignum/montgomery.hpp"
-#include "bignum/prime.hpp"
 #include "bignum/random.hpp"
+#include "core/engine.hpp"
 #include "testutil.hpp"
 
 namespace mont::bignum {
 namespace {
+
+/// MmmEngine::ModExp over one WordMontgomery variant's products, with the
+/// reference's own R = 2^(32s) and window [0, N).
+class WordVariantEngine final : public core::MmmEngine {
+ public:
+  WordVariantEngine(const BigUInt& n, WordMontgomery::Variant variant)
+      : MmmEngine(n, core::EngineField::kGfP, n.BitLength(), n),
+        ctx_(n),
+        variant_(variant) {}
+
+  std::string_view Name() const override { return "word-variant"; }
+  core::EngineCaps Caps() const override { return {}; }
+  BigUInt Multiply(const BigUInt& x, const BigUInt& y,
+                   std::uint64_t* cycles) const override {
+    if (cycles != nullptr) *cycles += MultiplyCyclesModel();
+    return ctx_.Multiply(x, y, variant_);
+  }
+  const BigUInt& MontFactor() const override { return ctx_.RSquaredModN(); }
+  std::uint64_t MultiplyCyclesModel() const override { return 1; }
+
+ private:
+  WordMontgomery ctx_;
+  WordMontgomery::Variant variant_;
+};
 
 // A small odd modulus for exhaustive checks.
 constexpr std::uint64_t kSmallN = 239;
@@ -95,16 +123,18 @@ TEST(BitSerialMontgomeryProperty, DomainRoundTrip) {
   }
 }
 
-// Property: bit-serial ModExp agrees with the plain BigUInt::ModExp.
+// Property: the §4.5 exponentiation over the bit-serial products (the
+// "bit-serial" engine wraps a BitSerialMontgomery) agrees with the plain
+// BigUInt::ModExp.
 TEST(BitSerialMontgomeryProperty, ModExpMatchesReference) {
   auto rng = test::TestRng();
   for (const std::size_t bits : {8u, 32u, 128u}) {
     const BigUInt n = rng.OddExactBits(bits);
-    BitSerialMontgomery ctx(n);
+    const auto engine = core::MakeEngine("bit-serial", n);
     for (int trial = 0; trial < 8; ++trial) {
       const BigUInt base = rng.Below(n);
       const BigUInt exp = rng.ExactBits(bits);
-      EXPECT_EQ(ctx.ModExp(base, exp), BigUInt::ModExp(base, exp, n))
+      EXPECT_EQ(engine->ModExp(base, exp), BigUInt::ModExp(base, exp, n))
           << "bits=" << bits;
     }
   }
@@ -112,12 +142,12 @@ TEST(BitSerialMontgomeryProperty, ModExpMatchesReference) {
 
 TEST(BitSerialMontgomery, ModExpEdgeCases) {
   const BigUInt n{kSmallN};
-  BitSerialMontgomery ctx(n);
-  EXPECT_EQ(ctx.ModExp(BigUInt{5}, BigUInt{0}).ToUint64(), 1u);
-  EXPECT_EQ(ctx.ModExp(BigUInt{5}, BigUInt{1}).ToUint64(), 5u);
-  EXPECT_EQ(ctx.ModExp(BigUInt{0}, BigUInt{5}).ToUint64(), 0u);
+  const auto engine = core::MakeEngine("bit-serial", n);
+  EXPECT_EQ(engine->ModExp(BigUInt{5}, BigUInt{0}).ToUint64(), 1u);
+  EXPECT_EQ(engine->ModExp(BigUInt{5}, BigUInt{1}).ToUint64(), 5u);
+  EXPECT_EQ(engine->ModExp(BigUInt{0}, BigUInt{5}).ToUint64(), 0u);
   // Fermat's little theorem on the prime 239.
-  EXPECT_EQ(ctx.ModExp(BigUInt{2}, BigUInt{kSmallN - 1}).ToUint64(), 1u);
+  EXPECT_EQ(engine->ModExp(BigUInt{2}, BigUInt{kSmallN - 1}).ToUint64(), 1u);
 }
 
 // All three word-level variants must agree with the mathematical definition.
@@ -143,12 +173,11 @@ TEST_P(WordMontgomeryVariants, MatchesDefinitionRandom) {
 TEST_P(WordMontgomeryVariants, ModExpMatchesReference) {
   auto rng = test::TestRng();
   const BigUInt n = rng.OddExactBits(256);
-  WordMontgomery ctx(n);
+  const WordVariantEngine engine(n, GetParam());
   for (int trial = 0; trial < 5; ++trial) {
     const BigUInt base = rng.Below(n);
     const BigUInt exp = rng.ExactBits(64);
-    EXPECT_EQ(ctx.ModExp(base, exp, GetParam()),
-              BigUInt::ModExp(base, exp, n));
+    EXPECT_EQ(engine.ModExp(base, exp), BigUInt::ModExp(base, exp, n));
   }
 }
 
@@ -183,53 +212,12 @@ TEST(WordMontgomery, VariantsAgreeWithEachOther) {
 TEST(WordMontgomery, BitSerialAndWordLevelAgreeOnModExp) {
   auto rng = test::TestRng();
   const BigUInt n = rng.OddExactBits(160);
-  BitSerialMontgomery bit_ctx(n);
-  WordMontgomery word_ctx(n);
+  const auto bit_serial = core::MakeEngine("bit-serial", n);
+  const WordVariantEngine word_level(n, WordMontgomery::Variant::kCios);
   for (int trial = 0; trial < 5; ++trial) {
     const BigUInt base = rng.Below(n);
     const BigUInt exp = rng.ExactBits(48);
-    EXPECT_EQ(bit_ctx.ModExp(base, exp), word_ctx.ModExp(base, exp));
-  }
-}
-
-TEST(Primality, SmallKnownValues) {
-  auto rng = test::TestRng();
-  EXPECT_FALSE(IsProbablePrime(BigUInt{0}, rng));
-  EXPECT_FALSE(IsProbablePrime(BigUInt{1}, rng));
-  EXPECT_TRUE(IsProbablePrime(BigUInt{2}, rng));
-  EXPECT_TRUE(IsProbablePrime(BigUInt{3}, rng));
-  EXPECT_FALSE(IsProbablePrime(BigUInt{4}, rng));
-  EXPECT_TRUE(IsProbablePrime(BigUInt{997}, rng));
-  EXPECT_FALSE(IsProbablePrime(BigUInt{1001}, rng));  // 7 * 11 * 13
-  EXPECT_TRUE(IsProbablePrime(BigUInt{1000003}, rng));
-  EXPECT_FALSE(IsProbablePrime(BigUInt{1000001}, rng));  // 101 * 9901
-}
-
-TEST(Primality, CarmichaelNumbersRejected) {
-  auto rng = test::TestRng();
-  // Carmichael numbers fool Fermat tests but not Miller-Rabin.
-  for (const std::uint64_t c : {561ull, 1105ull, 1729ull, 41041ull, 825265ull}) {
-    EXPECT_FALSE(IsProbablePrime(BigUInt{c}, rng)) << c;
-  }
-}
-
-TEST(Primality, KnownLargePrime) {
-  auto rng = test::TestRng();
-  // 2^127 - 1 is a Mersenne prime; 2^128 - 1 is composite.
-  const BigUInt m127 = BigUInt::PowerOfTwo(127) - BigUInt{1};
-  const BigUInt m128 = BigUInt::PowerOfTwo(128) - BigUInt{1};
-  EXPECT_TRUE(IsProbablePrime(m127, rng));
-  EXPECT_FALSE(IsProbablePrime(m128, rng));
-}
-
-TEST(Primality, GeneratePrimeHasRequestedShape) {
-  auto rng = test::TestRng();
-  for (const std::size_t bits : {32u, 64u, 128u}) {
-    const BigUInt p = GeneratePrime(bits, rng, 16);
-    EXPECT_EQ(p.BitLength(), bits);
-    EXPECT_TRUE(p.Bit(bits - 2)) << "second-highest bit must be forced";
-    EXPECT_TRUE(p.IsOdd());
-    EXPECT_TRUE(IsProbablePrime(p, rng, 16));
+    EXPECT_EQ(bit_serial->ModExp(base, exp), word_level.ModExp(base, exp));
   }
 }
 
