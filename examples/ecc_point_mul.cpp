@@ -1,6 +1,7 @@
 // ecc_point_mul — the paper's future-work direction (§5): an elliptic
 // curve Diffie-Hellman exchange over NIST P-192 where every field
-// multiplication goes through the paper's Algorithm 2.
+// multiplication goes through the paper's Algorithm 2.  Exits 1 if a
+// public key is off the curve or the two shared secrets differ.
 //
 //   $ ./examples/ecc_point_mul
 #include <cstdio>
@@ -31,19 +32,20 @@ int main() {
   const AffinePoint alice_pub =
       curve.ScalarMul(alice_secret, g, &alice_stats);
   const AffinePoint bob_pub = curve.ScalarMul(bob_secret, g, &bob_stats);
+  const bool alice_ok = curve.IsOnCurve(alice_pub);
+  const bool bob_ok = curve.IsOnCurve(bob_pub);
   std::printf("\nAlice pub: x = 0x%s (on curve: %s)\n",
-              alice_pub.x.ToHex().c_str(),
-              curve.IsOnCurve(alice_pub) ? "yes" : "NO");
+              alice_pub.x.ToHex().c_str(), alice_ok ? "yes" : "NO");
   std::printf("Bob   pub: x = 0x%s (on curve: %s)\n",
-              bob_pub.x.ToHex().c_str(),
-              curve.IsOnCurve(bob_pub) ? "yes" : "NO");
+              bob_pub.x.ToHex().c_str(), bob_ok ? "yes" : "NO");
 
   EccStats shared_stats;
   const AffinePoint shared_a =
       curve.ScalarMul(alice_secret, bob_pub, &shared_stats);
   const AffinePoint shared_b = curve.ScalarMul(bob_secret, alice_pub);
   std::printf("\nshared secret x = 0x%s\n", shared_a.x.ToHex().c_str());
-  std::printf("both sides agree: %s\n", shared_a == shared_b ? "yes" : "NO");
+  const bool agree = shared_a == shared_b;
+  std::printf("both sides agree: %s\n", agree ? "yes" : "NO");
 
   const std::size_t l = curve.Params().p.BitLength();
   const auto gen = mont::core::BuildMmmcNetlist(l);
@@ -57,5 +59,5 @@ int main() {
   std::printf("on the modelled V812E (-8): %.3f ms (%zu slices)\n",
               static_cast<double>(cycles) * fpga.clock_period_ns * 1e-6,
               fpga.slices);
-  return 0;
+  return alice_ok && bob_ok && agree ? 0 : 1;
 }

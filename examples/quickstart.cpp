@@ -3,7 +3,7 @@
 // Builds a Montgomery Modular Multiplication Circuit for a 64-bit modulus,
 // runs one multiplication clock-by-clock, checks the result against the
 // software reference, and runs a modular exponentiation on the
-// hardware-modelled exponentiator.
+// hardware-modelled exponentiator.  Exits 1 if either check fails.
 //
 //   $ ./examples/quickstart
 #include <cstdio>
@@ -39,8 +39,8 @@ int main() {
 
   // Cross-check against the software reference (paper Algorithm 2).
   const mont::bignum::BitSerialMontgomery reference(n);
-  std::printf("  software reference agrees: %s\n",
-              reference.MultiplyAlg2(x, y) == product ? "yes" : "NO");
+  const bool product_ok = reference.MultiplyAlg2(x, y) == product;
+  std::printf("  software reference agrees: %s\n", product_ok ? "yes" : "NO");
 
   // --- 2. full modular exponentiation (paper Algorithm 3) ---
   const auto exponentiator = mont::core::MakeEngine("mmmc", n);
@@ -57,7 +57,7 @@ int main() {
               static_cast<unsigned long long>(stats.squarings),
               static_cast<unsigned long long>(stats.multiplications),
               static_cast<unsigned long long>(stats.engine_cycles));
-  std::printf("  plain-arithmetic check: %s\n",
-              BigUInt::ModExp(base, exponent, n) == power ? "ok" : "MISMATCH");
-  return 0;
+  const bool power_ok = BigUInt::ModExp(base, exponent, n) == power;
+  std::printf("  plain-arithmetic check: %s\n", power_ok ? "ok" : "MISMATCH");
+  return product_ok && power_ok ? 0 : 1;
 }

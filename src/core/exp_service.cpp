@@ -378,10 +378,11 @@ ExecutionCore::Outcome ExecutionCore::RunGroup(
       const auto engine_b =
           AcquireEngine(ResolveEngineName(group[1]->options),
                         group[1]->modulus);
-      // Per-job engine overrides can bond two backends on one issue —
+      // Per-job engine overrides can put two backends on one issue —
       // any mix works as long as both model pairable array streams of
-      // equal operand length (a bonded SubmitPair of unequal-capability
-      // jobs falls back to solo issues instead of failing).
+      // equal operand length.  The scheduler only groups equal-length
+      // pairable jobs, so this is a guard: a group that fails it runs as
+      // two solo issues instead of failing.
       if (engine_a->Caps().pairable_streams &&
           engine_b->Caps().pairable_streams &&
           engine_a->l() == engine_b->l() &&
@@ -654,9 +655,9 @@ ExpService::ExpService(Options options)
   // schedule; a backend without pairable streams (word-serial datapaths)
   // must not report fictitious dual-channel throughput.  That is
   // enforced per job — non-pairable jobs never enter the pairing
-  // keyspace and RunGroup falls back to solo issue for bonded pairs —
-  // rather than by disabling pairing service-wide, so jobs whose
-  // ExpJobOptions override selects a pairable backend still co-schedule.
+  // keyspace — rather than by disabling pairing service-wide, so jobs
+  // whose ExpJobOptions override selects a pairable backend still
+  // co-schedule.
   cont_thread_ = std::thread([this] { ContinuationLoop(); });
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
@@ -755,44 +756,6 @@ std::vector<std::future<ExpService::Result>> ExpService::SubmitBatch(
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (Job& job : batch) futures.push_back(EnqueueLocked(std::move(job)));
-  }
-  cv_.notify_all();
-  return futures;
-}
-
-std::pair<std::future<ExpService::Result>, std::future<ExpService::Result>>
-ExpService::SubmitPair(BigUInt modulus_a, BigUInt base_a, BigUInt exponent_a,
-                       BigUInt modulus_b, BigUInt base_b, BigUInt exponent_b) {
-  Job a = core_.MakeJob(std::move(modulus_a), std::move(base_a),
-                        std::move(exponent_a), {}, {});
-  Job b = core_.MakeJob(std::move(modulus_b), std::move(base_b),
-                        std::move(exponent_b), {}, {});
-  std::pair<std::future<Result>, std::future<Result>> futures;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (a.spec.modulus.BitLength() != b.spec.modulus.BitLength()) {
-      // Unequal lengths cannot share an array; run them as plain jobs.
-      futures.first = EnqueueLocked(std::move(a));
-      futures.second = EnqueueLocked(std::move(b));
-    } else {
-      futures.first = a.promise.get_future();
-      futures.second = b.promise.get_future();
-      a.id = next_id_++;
-      b.id = next_id_++;
-      const std::uint64_t now = NowTicks();
-      if (options_.tracer != nullptr && options_.tracer->enabled()) {
-        options_.tracer->Instant("job.submit", a.id, 0, now,
-                                 {{"job", a.id}, {"bonded", 1}});
-        options_.tracer->Instant("job.submit", b.id, 0, now,
-                                 {{"job", b.id}, {"bonded", 1}});
-      }
-      // The scheduler forms the bonded group at submit time: a worker can
-      // never observe one half without the other.
-      sched_.SubmitBonded(a.id, b.id, now);
-      pending_.emplace(a.id, std::move(a));
-      pending_.emplace(b.id, std::move(b));
-      metrics_.submitted.Add(2);
-    }
   }
   cv_.notify_all();
   return futures;
@@ -1092,7 +1055,6 @@ void DeterministicExecutor::TryDispatch() {
             record.paired = unit->outcome.paired;
             record.stolen = unit->issue.stolen;
             record.unpaired_by_timeout = unit->issue.unpaired_by_timeout;
-            record.bonded = unit->issue.bonded;
             records_.push_back(record);
           }
           ResolveGroup(unit->jobs, unit->outcome, unit->issue);

@@ -8,9 +8,10 @@
 //
 //   * a thread-safe job queue — Submit() returns a std::future (with an
 //     optional completion callback), SubmitBatch() fans a vector of jobs
-//     out, SubmitPair() bonds two jobs for co-scheduling, and Post()
-//     hands a continuation (e.g. RSA-CRT recombination + fault check) to
-//     a dedicated thread so it never blocks a worker's array;
+//     out, SubmitTogether() queues two jobs under one lock (the two
+//     RSA-CRT halves of one signature), and Post() hands a continuation
+//     (e.g. RSA-CRT recombination + fault check) to a dedicated thread so
+//     it never blocks a worker's array;
 //   * a worker pool whose per-modulus multiplication engines are
 //     LRU-cached, so repeated traffic on one key pays the R^2-mod-N
 //     precomputation once (core/schedule.hpp LruCache);
@@ -400,15 +401,6 @@ class ExpService {
       const bignum::BigUInt& modulus, std::span<const bignum::BigUInt> bases,
       std::span<const bignum::BigUInt> exponents);
 
-  /// Enqueues two jobs bonded for co-scheduling on one dual-channel array
-  /// (e.g. the p- and q-halves of one RSA-CRT operation).  If the moduli
-  /// cannot share an array (unequal bit lengths) or pairing is disabled,
-  /// the jobs still run — just sequentially.
-  std::pair<std::future<Result>, std::future<Result>> SubmitPair(
-      bignum::BigUInt modulus_a, bignum::BigUInt base_a,
-      bignum::BigUInt exponent_a, bignum::BigUInt modulus_b,
-      bignum::BigUInt base_b, bignum::BigUInt exponent_b);
-
   /// Hands a continuation to the service's continuation thread — the
   /// pipelined-CRT hook: a job callback posts recombination + fault
   /// check here so the worker's array moves straight to the next issue.
@@ -434,9 +426,7 @@ class ExpService {
     /// ExpResult::cancelled (no silent drops).
     std::uint64_t deadline_exceeded = 0;
     /// Issues that actually co-scheduled two jobs onto one dual-channel
-    /// array.  A bonded pair whose backends cannot pair (no pairable
-    /// streams, unequal lengths) executes — and is counted — as two
-    /// solo issues instead.
+    /// array.
     std::uint64_t pair_issues = 0;
     std::uint64_t single_issues = 0;  ///< jobs issued solo
     std::uint64_t engine_cache_hits = 0;
@@ -551,7 +541,6 @@ class DeterministicExecutor {
     bool paired = false;
     bool stolen = false;
     bool unpaired_by_timeout = false;
-    bool bonded = false;
     /// Deadline expired in queue; finish_tick is the exact cancellation
     /// tick (== the deadline when it expired while queued/held).
     bool cancelled = false;

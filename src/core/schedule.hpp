@@ -147,7 +147,7 @@ class ManualClock final : public Clock {
 /// the dual-channel array at half throughput; one shared queue would
 /// also serialise every worker on one lock.  This scheduler avoids both:
 ///
-///   * Formed issue groups (pairs, bonded pairs, solos) are dispatched
+///   * Formed issue groups (pairs, solos) are dispatched
 ///     to the least-loaded worker's deque; an idle worker whose own
 ///     deque is empty *steals* the oldest group from the first
 ///     non-empty victim deque in ring order, so one hot modulus — or
@@ -194,7 +194,6 @@ class StealScheduler {
   struct Issue {
     std::array<std::uint64_t, 2> ids{};
     std::size_t count = 0;
-    bool bonded = false;
     /// Taken from another worker's deque.
     bool stolen = false;
     /// Issued solo after being held for a partner that never came.
@@ -209,7 +208,6 @@ class StealScheduler {
   struct Stats {
     std::uint64_t dispatched_groups = 0;  ///< groups that entered a deque
     std::uint64_t pairs_formed = 0;       ///< opportunistic pairs (all paths)
-    std::uint64_t bonded_groups = 0;
     std::uint64_t holds = 0;         ///< jobs held waiting for a partner
     std::uint64_t hold_pairs = 0;    ///< holds that found a partner in time
     std::uint64_t unpair_timeouts = 0;  ///< holds released solo by the timeout
@@ -229,11 +227,6 @@ class StealScheduler {
   /// dispatch immediately).
   void Submit(std::uint64_t id, std::uint64_t key, bool pairable,
               std::uint64_t now);
-
-  /// Submits two jobs bonded into one group (RSA-CRT halves).  With
-  /// pairing disabled they dispatch as two solo groups instead.
-  void SubmitBonded(std::uint64_t id_a, std::uint64_t id_b,
-                    std::uint64_t now);
 
   /// Claims one group for `worker`: the oldest-arrival of {own deque
   /// front, oldest ready held job}; otherwise steals the front (oldest)
@@ -276,7 +269,6 @@ class StealScheduler {
   struct Group {
     std::array<std::uint64_t, 2> ids{};
     std::size_t count = 0;
-    bool bonded = false;
     std::uint64_t key = 0;
     std::uint64_t arrival = 0;
     /// Still upgradeable: a later same-key submit may join this group
@@ -327,7 +319,6 @@ class StealScheduler {
   struct {
     obs::Counter dispatched_groups;
     obs::Counter pairs_formed;
-    obs::Counter bonded_groups;
     obs::Counter holds;
     obs::Counter hold_pairs;
     obs::Counter unpair_timeouts;

@@ -136,12 +136,9 @@ BigUInt EmsaPkcs1V15Encode(std::span<const std::uint8_t> message,
   return BigUInt::FromBytesBE(em);
 }
 
-BigUInt RsaSignPkcs1V15(const RsaKeyPair& key,
-                        std::span<const std::uint8_t> message,
-                        std::string_view engine) {
-  const std::size_t k = (key.n.BitLength() + 7) / 8;
-  const BigUInt em = EmsaPkcs1V15Encode(message, k);
-  return RsaPrivateCrt(key, em, engine);
+BigUInt RsaSignPkcs1V15(const RsaCrtContext& context,
+                        std::span<const std::uint8_t> message) {
+  return context.Sign(EmsaPkcs1V15Encode(message, context.modulus_bytes()));
 }
 
 bool RsaVerifyPkcs1V15(const RsaKeyPair& key,

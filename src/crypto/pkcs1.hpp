@@ -1,7 +1,7 @@
 // pkcs1.hpp — RSASSA-PKCS1-v1_5 signatures (RFC 8017 §8.2) over the
-// repo's CRT/blinded private-key paths, plus the SHA-256 compression the
-// encoding needs.  This is what turns the raw modexp service into a *real*
-// signature scheme: the signing service front-end (src/server/) signs
+// repo's CRT private-key context (RsaCrtContext), plus the SHA-256
+// compression the encoding needs.  This is what turns the raw modexp
+// service into a *real* signature scheme: the signing service front-end (src/server/) signs
 // EMSA-PKCS1-v1_5 encoded digests, never raw caller-controlled integers.
 //
 // SHA-256 is implemented here from scratch (FIPS 180-4); the container
@@ -37,12 +37,11 @@ inline constexpr std::size_t kPkcs1MinModulusBytes = 62;
 bignum::BigUInt EmsaPkcs1V15Encode(std::span<const std::uint8_t> message,
                                    std::size_t modulus_bytes);
 
-/// RSASSA-PKCS1-v1_5 signature of `message` (CRT private-key path with
+/// RSASSA-PKCS1-v1_5 signature of `message` (RsaCrtContext::Sign, with
 /// the Bellcore/Lenstra release check; throws std::runtime_error on a
 /// detected fault).
-bignum::BigUInt RsaSignPkcs1V15(const RsaKeyPair& key,
-                                std::span<const std::uint8_t> message,
-                                std::string_view engine = "word-mont");
+bignum::BigUInt RsaSignPkcs1V15(const RsaCrtContext& context,
+                                std::span<const std::uint8_t> message);
 
 /// Verifies an RSASSA-PKCS1-v1_5 signature: sig^e mod n must equal the
 /// full EMSA encoding of message's digest (exact match — no tolerance

@@ -66,26 +66,18 @@ SigningService::SigningService(Keystore keystore, Options options)
   }
   keystore_.ForEachKey([this](std::uint32_t tenant_id, std::uint32_t key_id,
                               const crypto::RsaKeyPair& key) {
-    using bignum::BigUInt;
-    if (key.p == key.q || key.p * key.q != key.n) {
+    try {
+      crypto::RsaCrtContext context(key, options_.service.engine_name);
+      if (context.modulus_bytes() < crypto::kPkcs1MinModulusBytes) {
+        throw std::invalid_argument(
+            "modulus too small for PKCS#1 v1.5 / SHA-256 (need >= 62 bytes)");
+      }
+      keys_.emplace(KeySlot(tenant_id, key_id), std::move(context));
+    } catch (const std::invalid_argument& error) {
       throw std::invalid_argument(
-          "SigningService: malformed CRT key (tenant " +
-          std::to_string(tenant_id) + ", key " + std::to_string(key_id) + ")");
+          "SigningService: tenant " + std::to_string(tenant_id) + ", key " +
+          std::to_string(key_id) + ": " + error.what());
     }
-    PreparedKey prepared;
-    prepared.key = &key;
-    prepared.modulus_bytes = (key.n.BitLength() + 7) / 8;
-    if (prepared.modulus_bytes < crypto::kPkcs1MinModulusBytes) {
-      throw std::invalid_argument(
-          "SigningService: modulus too small for PKCS#1 v1.5 / SHA-256 "
-          "(need >= 62 bytes)");
-    }
-    const BigUInt one{1};
-    prepared.dp = key.d % (key.p - one);
-    prepared.dq = key.d % (key.q - one);
-    prepared.q_inv = BigUInt::ModInverse(key.q % key.p, key.p);
-    prepared.verify_engine = core::MakeEngine("word-mont", key.n);
-    keys_[KeySlot(tenant_id, key_id)] = std::move(prepared);
   });
   auto service_options = options_.service;
   // Every layer shares one registry: the ExpService's jobs.*/sched.*/
@@ -176,11 +168,11 @@ void SigningService::HandleRequest(std::vector<std::uint8_t> payload,
                     "unknown key for tenant");
     return;
   }
-  const PreparedKey& prepared = key_it->second;
+  const crypto::RsaCrtContext& context = key_it->second;
   // The message representative is computed outside the lock (hashing is
   // the request's only unbounded-input work).
   bignum::BigUInt em =
-      crypto::EmsaPkcs1V15Encode(request->message, prepared.modulus_bytes);
+      crypto::EmsaPkcs1V15Encode(request->message, context.modulus_bytes());
   const std::uint64_t now = NowTicks();
 
   std::unique_lock<std::mutex> lk(mu_);
@@ -210,7 +202,7 @@ void SigningService::HandleRequest(std::vector<std::uint8_t> payload,
   auto state = std::make_shared<RequestState>();
   state->request_id = request->request_id;
   state->tenant_id = request->tenant_id;
-  state->key = &prepared;
+  state->context = &context;
   state->em = std::move(em);
   state->deadline =
       request->deadline_ticks == 0 ? 0 : now + request->deadline_ticks;
@@ -239,7 +231,8 @@ void SigningService::SubmitHalvesLocked(
         "crt.submit_halves", state->request_id, 0, NowTicks(),
         {{"attempt", static_cast<std::uint64_t>(state->attempts)}});
   }
-  const crypto::RsaKeyPair& key = *state->key->key;
+  const crypto::RsaCrtContext& context = *state->context;
+  const crypto::RsaKeyPair& key = context.key();
   core::ExpJobOptions job_options;
   job_options.deadline = state->deadline;
   // Both half-jobs carry the request id as their trace id, so the
@@ -248,13 +241,13 @@ void SigningService::SubmitHalvesLocked(
   // Both halves enter the queue together: a worker woken by the first
   // must not claim it alone before the second arrives to pair with it.
   exp_->SubmitTogether(
-      key.p, state->em % key.p, state->key->dp,
+      key.p, state->em % key.p, context.dp(),
       [this, state](const core::ExpResult& result) {
         state->mp = result.value;
         state->p_cancelled = result.cancelled;
         OnHalfDone(state);
       },
-      key.q, state->em % key.q, state->key->dq,
+      key.q, state->em % key.q, context.dq(),
       [this, state](const core::ExpResult& result) {
         state->mq = result.value;
         state->q_cancelled = result.cancelled;
@@ -285,15 +278,14 @@ void SigningService::Recombine(const std::shared_ptr<RequestState>& state) {
   if (chaos_ != nullptr && chaos_->ShouldCorruptCrtHalf()) {
     chaos_->CorruptValue(state->mp);
   }
-  const PreparedKey& prepared = *state->key;
+  const crypto::RsaCrtContext& context = *state->context;
   obs::Tracer* const tracer = tracer_;
   const bool tracing = tracer != nullptr && tracer->enabled();
   const std::uint64_t recombine_start = tracing ? NowTicks() : 0;
-  const bignum::BigUInt signature =
-      crypto::RsaCrtRecombine(*prepared.key, prepared.q_inv, state->mp,
-                              state->mq);
+  const bignum::BigUInt signature = crypto::RsaCrtRecombine(
+      context.key(), context.q_inv(), state->mp, state->mq);
   const bool bellcore_ok = crypto::RsaCrtResultOk(
-      *prepared.verify_engine, *prepared.key, state->em, signature);
+      context.verify_engine(), context.key(), state->em, signature);
   if (tracing) {
     tracer->Complete("crt.recombine", state->request_id, 0, recombine_start,
                      NowTicks(),
@@ -331,7 +323,7 @@ void SigningService::Recombine(const std::shared_ptr<RequestState>& state) {
     return;
   }
   Finish(state, StatusCode::kOk,
-         signature.ToBytesBE(prepared.modulus_bytes));
+         signature.ToBytesBE(context.modulus_bytes()));
 }
 
 void SigningService::Finish(const std::shared_ptr<RequestState>& state,

@@ -13,7 +13,9 @@
 //     is cancelled *inside the scheduler* before it ever reaches an
 //     engine (DEADLINE_EXCEEDED, and the array time goes to live work);
 //   * fault containment — each signature is recombined off-worker on the
-//     continuation thread (pipelined CRT), then gated by the
+//     continuation thread (pipelined CRT, with the key's
+//     crypto::RsaCrtContext constants: dp/dq for the two half-jobs,
+//     q^-1 mod p for Garner, the mod-n verify engine), then gated by the
 //     Bellcore/Lenstra check.  A corrupted half (chaos injection or a real
 //     compute fault) is caught, the request silently retried up to
 //     max_internal_retries, and a bad signature is NEVER released —
@@ -83,9 +85,10 @@ class SigningService {
     ChaosLayer* chaos = nullptr;
   };
 
-  /// Validates every key in the keystore up front (CRT-valid, modulus
-  /// large enough for PKCS#1/SHA-256) and precomputes its CRT context —
-  /// throws std::invalid_argument rather than serving a bad key.
+  /// Builds every keystore key's crypto::RsaCrtContext up front (which
+  /// validates the CRT key) and checks the modulus is large enough for
+  /// PKCS#1/SHA-256 — throws std::invalid_argument rather than serving a
+  /// bad key.
   explicit SigningService(Keystore keystore)
       : SigningService(std::move(keystore), Options{}) {}
   SigningService(Keystore keystore, Options options);
@@ -161,21 +164,11 @@ class SigningService {
   std::uint64_t NowTicks() const;
 
  private:
-  /// Per-(tenant, key) context hoisted at construction: CRT exponents,
-  /// Garner constant, a mod-n verify engine for the Bellcore gate, and
-  /// the PKCS#1 encoding length.
-  struct PreparedKey {
-    const crypto::RsaKeyPair* key = nullptr;
-    bignum::BigUInt dp, dq, q_inv;
-    std::shared_ptr<const core::MmmEngine> verify_engine;
-    std::size_t modulus_bytes = 0;
-  };
-
   /// One admitted request's lifecycle across its two CRT half-jobs.
   struct RequestState {
     std::uint64_t request_id = 0;
     std::uint32_t tenant_id = 0;
-    const PreparedKey* key = nullptr;
+    const crypto::RsaCrtContext* context = nullptr;
     bignum::BigUInt em;        ///< PKCS#1 message representative
     std::uint64_t deadline = 0;  ///< absolute tick, 0 = none
     std::uint64_t admit_tick = 0;  ///< for server.latency_ticks
@@ -218,7 +211,9 @@ class SigningService {
   core::SteadyClock steady_clock_;
   const core::Clock* clock_ = nullptr;
   ChaosLayer* chaos_ = nullptr;
-  std::unordered_map<std::uint64_t, PreparedKey> keys_;
+  /// Per-(tenant, key) CRT context hoisted at construction: CRT
+  /// exponents, Garner constant and the Bellcore gate's verify engine.
+  std::unordered_map<std::uint64_t, crypto::RsaCrtContext> keys_;
 
   mutable std::mutex mu_;  // admission_, in_flight_, shutdown
   std::condition_variable idle_cv_;

@@ -1,13 +1,17 @@
 // Tests for the application layer: primality testing, RSA key generation /
-// round trips / CRT, and ECC point multiplication (the paper's future-work
-// direction) with exhaustive checks on a tiny curve plus known-structure
-// checks on P-192.
+// round trips / the CRT context (paired, sequential, blinded), and ECC
+// point multiplication (the paper's future-work direction) with
+// exhaustive checks on a tiny curve plus known-structure checks on P-192.
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bignum/random.hpp"
 #include "core/engine.hpp"
+#include "core/exp_service.hpp"
+#include "core/schedule.hpp"
 #include "crypto/ecc.hpp"
 #include "crypto/prime.hpp"
 #include "crypto/rsa.hpp"
@@ -101,10 +105,11 @@ TEST(Rsa, EncryptDecryptRoundTrip) {
 TEST(Rsa, CrtMatchesPlainDecryption) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(192, rng);
+  const RsaCrtContext context(key);
   for (int trial = 0; trial < 5; ++trial) {
     const BigUInt m = rng.Below(key.n);
     const BigUInt c = RsaPublic(key, m);
-    EXPECT_EQ(RsaPrivateCrt(key, c), RsaPrivate(key, c));
+    EXPECT_EQ(context.Sign(c), RsaPrivate(key, c));
   }
 }
 
@@ -126,58 +131,57 @@ TEST(Rsa, MessageOutOfRangeThrows) {
   const RsaKeyPair key = GenerateRsaKey(64, rng);
   EXPECT_THROW(RsaPublic(key, key.n), std::invalid_argument);
   EXPECT_THROW(RsaPrivate(key, key.n + BigUInt{1}), std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrt(key, key.n), std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrtPaired(key, key.n), std::invalid_argument);
+  EXPECT_THROW(RsaCrtContext(key).Sign(key.n), std::invalid_argument);
+  EXPECT_THROW(RsaCrtContext(key, "word-mont").Sign(key.n),
+               std::invalid_argument);
 }
 
 // Bellcore/Lenstra fault hygiene: a faulty CRT half-exponentiation yields
-// a well-formed wrong signature whose gcd(sig^e - c, n) factors n.  The
-// paired/batch paths verify sig^e mod n against the input and must throw
-// rather than release the broken result.  Fault injection: a corrupted
-// private exponent makes both halves compute a wrong (but well-formed)
-// power — the same observable as a computation fault.
+// a well-formed wrong signature whose gcd(sig^e - c, n) factors n.  Sign
+// verifies sig^e mod n against the input on both the paired and the
+// sequential branch, and must throw rather than release the broken
+// result.  Fault injection: a corrupted private exponent makes both
+// halves compute a wrong (but well-formed) power — the same observable
+// as a computation fault.
 TEST(Rsa, CrtFaultIsDetectedBeforeRelease) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(64, rng);
   BigUInt m = rng.Below(key.n);
   if (m <= BigUInt{1}) m = BigUInt{2};
   const BigUInt c = RsaPublic(key, m);
-  ASSERT_EQ(RsaPrivateCrtPaired(key, c), m);  // healthy path releases
-
   RsaKeyPair faulted = key;
   faulted.d = key.d + BigUInt{2};
-  EXPECT_THROW(RsaPrivateCrtPaired(faulted, c), std::runtime_error);
-  EXPECT_THROW(RsaPrivateCrt(faulted, c), std::runtime_error);
-
-  core::ExpService service;
-  const std::vector<BigUInt> messages{c};
-  EXPECT_THROW(RsaSignBatch(faulted, messages, service), std::runtime_error);
-  // The healthy key still signs the same batch.
-  EXPECT_EQ(RsaSignBatch(key, messages, service).at(0), m);
+  for (const char* engine : {"bit-serial", "word-mont"}) {
+    ASSERT_EQ(RsaCrtContext(key, engine).Sign(c), m) << engine;  // releases
+    EXPECT_THROW(RsaCrtContext(faulted, engine).Sign(c), std::runtime_error)
+        << engine;
+  }
 }
 
-// A backend without pairable streams still computes CRT — sequentially —
-// and a mis-fielded service is a configuration error, not a fault.
+// A backend without pairable streams still computes CRT — sequentially,
+// charging both halves' MMMs as single issues.
 TEST(Rsa, CrtPairedFallsBackForUnpairableBackends) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(64, rng);
   const BigUInt m = rng.Below(key.n);
   const BigUInt c = RsaPublic(key, m);
+  const RsaCrtContext context(key, "word-mont");
   core::EngineStats stats;
-  EXPECT_EQ(RsaPrivateCrtPaired(key, c, &stats, "word-mont"), m);
+  EXPECT_EQ(context.Sign(c, &stats), m);
   EXPECT_EQ(stats.paired_issues, 0u);  // word-serial: sequential issue
-  EXPECT_GT(stats.single_issues, 0u);
-
-  core::ExpService::Options gf2;
-  gf2.engine_options.field = core::EngineField::kGf2;
-  core::ExpService gf2_service(gf2);
-  const std::vector<BigUInt> messages{c};
-  EXPECT_THROW(RsaSignBatch(key, messages, gf2_service),
-               std::invalid_argument);
+  core::EngineStats stats_p, stats_q;
+  core::MakeEngine("word-mont", key.p)->ModExp(c % key.p, context.dp(),
+                                               &stats_p);
+  core::MakeEngine("word-mont", key.q)->ModExp(c % key.q, context.dq(),
+                                               &stats_q);
+  EXPECT_EQ(stats.single_issues,
+            stats_p.mmm_invocations + stats_q.mmm_invocations);
+  EXPECT_EQ(stats.engine_cycles, stats_p.engine_cycles + stats_q.engine_cycles);
 }
 
-// A hand-assembled CRT key with p == q (or p*q != n) would recombine to a
-// well-formed wrong answer; the CRT paths must reject it loudly instead.
+// A hand-assembled CRT key with p == q, p*q != n, p = 1 or a q with no
+// inverse mod p would recombine to a well-formed wrong answer (or divide
+// by zero); the context must reject it loudly, with the documented type.
 TEST(Rsa, MalformedCrtKeysAreRejected) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(64, rng);
@@ -186,14 +190,73 @@ TEST(Rsa, MalformedCrtKeysAreRejected) {
   RsaKeyPair equal_primes = key;
   equal_primes.q = equal_primes.p;
   equal_primes.n = equal_primes.p * equal_primes.p;
-  const BigUInt c = rng.Below(key.p);
-  EXPECT_THROW(RsaPrivateCrt(equal_primes, c), std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrtPaired(equal_primes, c), std::invalid_argument);
-
   RsaKeyPair mismatched = key;
   mismatched.n += BigUInt{2};  // p*q != n
-  EXPECT_THROW(RsaPrivateCrt(mismatched, c), std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrtPaired(mismatched, c), std::invalid_argument);
+  RsaKeyPair unit_p = key;     // p = 1, q = n: p*q == n, but p-1 == 0
+  unit_p.p = BigUInt{1};
+  unit_p.q = key.n;
+  RsaKeyPair unit_q = unit_p;
+  std::swap(unit_q.p, unit_q.q);
+  RsaKeyPair shared_factor = key;  // 9 * 15 = 135: 15 has no inverse mod 9
+  shared_factor.p = BigUInt{9};
+  shared_factor.q = BigUInt{15};
+  shared_factor.n = BigUInt{135};
+  for (const RsaKeyPair* bad :
+       {&equal_primes, &mismatched, &unit_p, &unit_q, &shared_factor}) {
+    for (const char* engine : {"bit-serial", "word-mont"}) {
+      EXPECT_THROW(RsaCrtContext(*bad, engine), std::invalid_argument)
+          << "p=" << bad->p.ToDec() << " q=" << bad->q.ToDec() << " "
+          << engine;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// RsaCrtContext: the one CRT private-key path
+// ---------------------------------------------------------------------------
+
+// Sign is bit-identical to the plain c^d oracle on the engines that pair
+// on lanes (bit-serial; AVX-512 IFMA hosts take the SIMD path), pair on
+// BigUInt (alg2-ref) and run sequentially (word-mont), over edge inputs
+// (0, 1, n-1, multiples of p and of q) and random ones.  Its stats are
+// exactly the pair's shared accounting: paired * (3l+5) + single * (3l+4).
+TEST(RsaCrtContext, SignMatchesPlainOnEveryEngineAndEdgeInput) {
+  auto rng = test::TestRng();
+  const RsaKeyPair key = GenerateRsaKey(128, rng);
+  std::vector<BigUInt> inputs = {BigUInt{0},         BigUInt{1},
+                                 key.n - BigUInt{1}, key.p,
+                                 key.p * BigUInt{3}, key.q,
+                                 key.q * BigUInt{2}, key.q * (key.p - BigUInt{1})};
+  for (int trial = 0; trial < 4; ++trial) inputs.push_back(rng.Below(key.n));
+  const std::size_t l = key.p.BitLength();
+  ASSERT_EQ(key.q.BitLength(), l);
+  for (const char* engine : {"bit-serial", "alg2-ref", "word-mont"}) {
+    const RsaCrtContext context(key, engine);
+    const bool pairs = std::string_view(engine) != "word-mont";
+    const auto engine_p = core::MakeEngine(engine, key.p);
+    const auto engine_q = core::MakeEngine(engine, key.q);
+    for (const BigUInt& c : inputs) {
+      core::EngineStats stats;
+      EXPECT_EQ(context.Sign(c, &stats), RsaPrivate(key, c))
+          << engine << " c=" << c.ToHex();
+      if (!pairs) {
+        EXPECT_EQ(stats.paired_issues, 0u) << engine;
+        continue;
+      }
+      const core::EngineStats want =
+          core::PairedModExp(*engine_p, c % key.p, context.dp(), *engine_q,
+                             c % key.q, context.dq())
+              .stats;
+      EXPECT_EQ(stats.paired_issues, want.paired_issues) << engine;
+      EXPECT_EQ(stats.single_issues, want.single_issues) << engine;
+      EXPECT_EQ(stats.engine_cycles, want.engine_cycles) << engine;
+      EXPECT_GT(stats.paired_issues, 0u) << engine;
+      EXPECT_EQ(stats.engine_cycles,
+                stats.paired_issues * core::PairedMultiplyCycles(l) +
+                    stats.single_issues * core::MultiplyCycles(l))
+          << engine;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -202,24 +265,26 @@ TEST(Rsa, MalformedCrtKeysAreRejected) {
 // ---------------------------------------------------------------------------
 
 // Acceptance: blinded outputs bit-identical to unblinded on a randomized
-// sweep, for every option combination and both private-key paths.
+// sweep, for every option combination, on a paired and a sequential
+// engine.
 TEST(RsaBlinding, BlindedMatchesUnblindedOnRandomSweep) {
   auto rng = test::TestRng();
   bignum::RandomBigUInt blind_rng(test::TestSeed(1));
   for (const std::size_t bits : {64u, 96u}) {
     const RsaKeyPair key = GenerateRsaKey(bits, rng);
-    for (int trial = 0; trial < 6; ++trial) {
-      const BigUInt c = rng.Below(key.n);
-      const BigUInt expected = RsaPrivate(key, c);
-      for (const bool blind_base : {true, false}) {
-        for (const std::size_t blind_bits : {std::size_t{0}, std::size_t{16}}) {
-          const RsaBlindingOptions options{blind_base, blind_bits};
-          EXPECT_EQ(RsaPrivateBlinded(key, c, blind_rng, options), expected)
-              << "bits=" << bits << " base=" << blind_base
-              << " exp_bits=" << blind_bits;
-          EXPECT_EQ(RsaPrivateCrtBlinded(key, c, blind_rng, options), expected)
-              << "bits=" << bits << " base=" << blind_base
-              << " exp_bits=" << blind_bits;
+    for (const char* engine : {"bit-serial", "word-mont"}) {
+      const RsaCrtContext context(key, engine);
+      for (int trial = 0; trial < 6; ++trial) {
+        const BigUInt c = rng.Below(key.n);
+        const BigUInt expected = RsaPrivate(key, c);
+        for (const bool blind_base : {true, false}) {
+          for (const std::size_t blind_bits :
+               {std::size_t{0}, std::size_t{16}}) {
+            const RsaBlindingOptions options{blind_base, blind_bits};
+            EXPECT_EQ(context.Sign(c, nullptr, &blind_rng, options), expected)
+                << "bits=" << bits << " " << engine
+                << " base=" << blind_base << " exp_bits=" << blind_bits;
+          }
         }
       }
     }
@@ -227,40 +292,44 @@ TEST(RsaBlinding, BlindedMatchesUnblindedOnRandomSweep) {
 }
 
 // Base blinding must actually randomize what the device exponentiates:
-// two blinded runs of the same input consume different blinding units
-// (observable here only through the rng stream advancing), yet agree.
+// two blinded runs of the same input consume fresh blinding randomness
+// (the rng stream advances), yet agree; exponent blinding visibly
+// lengthens the schedule.
 TEST(RsaBlinding, FreshRandomnessPerCallSameResult) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(64, rng);
   const BigUInt c = rng.Below(key.n);
+  const RsaCrtContext context(key);
   bignum::RandomBigUInt blind_rng(test::TestSeed(2));
-  const BigUInt first = RsaPrivateBlinded(key, c, blind_rng);
-  const BigUInt second = RsaPrivateBlinded(key, c, blind_rng);
+  bignum::RandomBigUInt untouched(test::TestSeed(2));
+  const BigUInt first = context.Sign(c, nullptr, &blind_rng);
+  const BigUInt second = context.Sign(c, nullptr, &blind_rng);
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, RsaPrivate(key, c));
+  EXPECT_NE(blind_rng.Below(key.n), untouched.Below(key.n));
+  core::EngineStats plain, blinded;
+  context.Sign(c, &plain);
+  context.Sign(c, &blinded, &blind_rng, RsaBlindingOptions{false, 16});
+  // The pair's stats carry issue counts: 2 MMMs per paired issue.
+  EXPECT_GT(2 * blinded.paired_issues + blinded.single_issues,
+            2 * plain.paired_issues + plain.single_issues);
 }
 
 TEST(RsaBlinding, RejectsBadInputsAndKeys) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(64, rng);
   bignum::RandomBigUInt blind_rng(test::TestSeed(3));
-  EXPECT_THROW(RsaPrivateBlinded(key, key.n, blind_rng),
+  EXPECT_THROW(RsaCrtContext(key).Sign(key.n, nullptr, &blind_rng),
                std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrtBlinded(key, key.n, blind_rng),
-               std::invalid_argument);
-  // Exponent blinding needs the real factorization for the group order.
+  // Exponent blinding needs the real factorization for the group orders;
+  // a key that lies about it is refused when the context is built.
   RsaKeyPair mismatched = key;
   mismatched.n += BigUInt{2};
-  const BigUInt c = rng.Below(key.n);
-  EXPECT_THROW(RsaPrivateBlinded(mismatched, c % mismatched.n, blind_rng,
-                                 RsaBlindingOptions{true, 16}),
-               std::invalid_argument);
-  EXPECT_THROW(RsaPrivateCrtBlinded(mismatched, c % mismatched.n, blind_rng),
-               std::invalid_argument);
+  EXPECT_THROW(RsaCrtContext{mismatched}, std::invalid_argument);
 }
 
-// The CRT-blinded path keeps the Bellcore/Lenstra fault check: corrupt
-// the private exponent and the fault must be detected, not released.
+// The blinded Sign keeps the Bellcore/Lenstra fault check: corrupt the
+// private exponent and the fault must be detected, not released.
 TEST(RsaBlinding, CrtBlindedStillDetectsFaults) {
   auto rng = test::TestRng();
   const RsaKeyPair key = GenerateRsaKey(64, rng);
@@ -269,7 +338,9 @@ TEST(RsaBlinding, CrtBlindedStillDetectsFaults) {
   faulty.d += RsaLambda(key);  // same signatures...
   faulty.d += BigUInt{1};   // ...then corrupted
   const BigUInt c = rng.Below(key.n);
-  EXPECT_THROW(RsaPrivateCrtBlinded(faulty, c, blind_rng),
+  const RsaCrtContext context(faulty);
+  EXPECT_THROW(context.Sign(c, nullptr, &blind_rng), std::runtime_error);
+  EXPECT_THROW(context.Sign(c, nullptr, &blind_rng, RsaBlindingOptions{true, 16}),
                std::runtime_error);
 }
 

@@ -8,8 +8,8 @@
 //     bit-for-bit against the BigUInt::ModExp reference;
 //   * determinism: paired and unpaired execution agree exactly;
 //   * stats accounting: paired jobs are charged 3l+5 per MMM pair;
-//   * the crypto entry points (RsaPrivateCrtPaired, RsaSignBatch,
-//     Curve::ScalarMulBatch) driving the service end to end.
+//   * the crypto entry points (RSA-CRT halves recombined through
+//     RsaCrtContext, Curve::ScalarMulBatch) driving the service end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -341,38 +341,10 @@ TEST(ExpService, PairedAndUnpairedAreBitIdentical) {
   }
 }
 
-TEST(ExpService, BondedPairReportsPairCycleAccounting) {
-  auto rng = test::TestRng();
-  const std::size_t bits = 48;
-  const BigUInt n_a = rng.OddExactBits(bits);
-  const BigUInt n_b = rng.OddExactBits(bits);
-  ExpService::Options options;
-  options.workers = 1;
-  ExpService service(options);
-  auto [future_a, future_b] =
-      service.SubmitPair(n_a, rng.Below(n_a), rng.BalancedExactBits(bits),
-                         n_b, rng.Below(n_b), rng.BalancedExactBits(bits));
-  const ExpService::Result result_a = future_a.get();
-  const ExpService::Result result_b = future_b.get();
-  EXPECT_TRUE(result_a.paired);
-  EXPECT_TRUE(result_b.paired);
-  // Both report the same issue group, charged 3l+5 per MMM pair.
-  EXPECT_EQ(result_a.stats.engine_cycles, result_b.stats.engine_cycles);
-  EXPECT_EQ(result_a.stats.paired_issues, result_b.stats.paired_issues);
-  EXPECT_GT(result_a.stats.paired_issues, 0u);
-  EXPECT_EQ(result_a.stats.engine_cycles,
-            result_a.stats.paired_issues * PairedMultiplyCycles(bits) +
-                result_a.stats.single_issues * MultiplyCycles(bits));
-  // And the pair beats running its MMMs sequentially.
-  const std::uint64_t sequential =
-      (result_a.stats.mmm_invocations + result_b.stats.mmm_invocations) *
-      MultiplyCycles(bits);
-  EXPECT_LT(result_a.stats.engine_cycles, sequential);
-}
-
 // Jobs submitted together enter the scheduler under one lock, so an idle
 // pool always pairs two equal-length ones at submit: no waking worker can
-// take the first alone before the second is queued.
+// take the first alone before the second is queued.  Both report the
+// pair's shared issue accounting, charged 3l+5 per MMM pair.
 TEST(ExpService, SubmitTogetherPairsAtIdle) {
   auto rng = test::TestRng();
   const std::size_t bits = 64;
@@ -396,6 +368,17 @@ TEST(ExpService, SubmitTogetherPairsAtIdle) {
     EXPECT_TRUE(result_b.paired) << "round " << round;
     EXPECT_EQ(result_a.value, BigUInt::ModExp(base_a, exp_a, n_a));
     EXPECT_EQ(result_b.value, BigUInt::ModExp(base_b, exp_b, n_b));
+    EXPECT_EQ(result_a.stats.engine_cycles, result_b.stats.engine_cycles);
+    EXPECT_EQ(result_a.stats.paired_issues, result_b.stats.paired_issues);
+    EXPECT_GT(result_a.stats.paired_issues, 0u);
+    EXPECT_EQ(result_a.stats.engine_cycles,
+              result_a.stats.paired_issues * PairedMultiplyCycles(bits) +
+                  result_a.stats.single_issues * MultiplyCycles(bits));
+    // And the pair beats running its MMMs sequentially.
+    EXPECT_LT(result_a.stats.engine_cycles,
+              (result_a.stats.mmm_invocations +
+               result_b.stats.mmm_invocations) *
+                  MultiplyCycles(bits));
     service.Wait();  // idle again before the next round
   }
   EXPECT_EQ(callbacks.load(), 2 * kRounds);
@@ -441,8 +424,9 @@ TEST(ExpService, RejectsBadModuli) {
                std::invalid_argument);
   EXPECT_THROW(service.Submit(BigUInt{1}, BigUInt{2}, BigUInt{3}),
                std::invalid_argument);
-  EXPECT_THROW(service.SubmitPair(BigUInt{23}, BigUInt{2}, BigUInt{3},
-                                  BigUInt{8}, BigUInt{2}, BigUInt{3}),
+  EXPECT_THROW(service.SubmitTogether(BigUInt{23}, BigUInt{2}, BigUInt{3}, {},
+                                      BigUInt{8}, BigUInt{2}, BigUInt{3}, {},
+                                      {}),
                std::invalid_argument);
 }
 
@@ -677,9 +661,9 @@ TEST(ExpServiceJobOptions, PairableOverridesPairOnNonPairableDefault) {
       << "equal-length pairable overrides must co-schedule";
 }
 
-// A bonded SubmitPair on a non-pairable backend pops as a bonded group
-// but executes as two solo issues — and the counters must say so rather
-// than report fictitious dual-channel throughput.
+// Two jobs submitted together on a non-pairable backend execute as two
+// solo issues — and the counters must say so rather than report
+// fictitious dual-channel throughput.
 TEST(ExpServiceJobOptions, BondedPairOnNonPairableBackendCountsSoloIssues) {
   auto rng = test::TestRng();
   const BigUInt n_a = rng.OddExactBits(16);
@@ -689,8 +673,8 @@ TEST(ExpServiceJobOptions, BondedPairOnNonPairableBackendCountsSoloIssues) {
   options.engine_name = "word-mont";
   ExpService service(options);
   const BigUInt base = BigUInt{7}, exponent = BigUInt{13};
-  auto [first, second] = service.SubmitPair(n_a, base, exponent, n_b, base,
-                                            exponent);
+  auto [first, second] = service.SubmitTogether(
+      n_a, base, exponent, {}, n_b, base, exponent, {}, {});
   const ExpService::Result result_a = first.get();
   const ExpService::Result result_b = second.get();
   EXPECT_EQ(result_a.value, BigUInt::ModExp(base, exponent, n_a));
@@ -753,40 +737,6 @@ TEST(ExpServiceJobOptions, ExponentBlindingSameValuesMoreOperations) {
 // ---------------------------------------------------------------------------
 // Crypto entry points driving the service end to end
 // ---------------------------------------------------------------------------
-
-TEST(ExpServiceCrypto, RsaPrivateCrtPairedMatchesAndSavesCycles) {
-  auto rng = test::TestRng();
-  const crypto::RsaKeyPair key = crypto::GenerateRsaKey(128, rng);
-  for (int trial = 0; trial < 3; ++trial) {
-    const BigUInt m = rng.Below(key.n);
-    const BigUInt c = crypto::RsaPublic(key, m);
-    EngineStats stats;
-    EXPECT_EQ(crypto::RsaPrivateCrtPaired(key, c, &stats), m);
-    EXPECT_GT(stats.paired_issues, 0u);
-    const std::size_t l = key.p.BitLength();
-    EXPECT_EQ(stats.engine_cycles,
-              stats.paired_issues * PairedMultiplyCycles(l) +
-                  stats.single_issues * MultiplyCycles(l));
-  }
-}
-
-TEST(ExpServiceCrypto, RsaSignBatchMatchesScalarPaths) {
-  auto rng = test::TestRng();
-  const crypto::RsaKeyPair key = crypto::GenerateRsaKey(96, rng);
-  std::vector<BigUInt> messages;
-  for (int j = 0; j < 12; ++j) messages.push_back(rng.Below(key.n));
-  ExpService service;
-  const std::vector<BigUInt> signatures =
-      crypto::RsaSignBatch(key, messages, service);
-  ASSERT_EQ(signatures.size(), messages.size());
-  for (std::size_t j = 0; j < messages.size(); ++j) {
-    EXPECT_EQ(signatures[j], crypto::RsaPrivate(key, messages[j]));
-    EXPECT_EQ(signatures[j], crypto::RsaPrivateCrt(key, messages[j]));
-  }
-  // The pipelined CRT submits halves independently; the scheduler still
-  // pairs the equal-length streams (same message or across messages).
-  EXPECT_GT(service.Snapshot().pair_issues, 0u);
-}
 
 TEST(ExpServiceCrypto, EccScalarMulBatchMatchesScalarMul) {
   const crypto::Curve tiny(crypto::CurveParams::Tiny97());
@@ -1266,8 +1216,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 // Three tenants fire bursts of mixed-size, mixed-engine jobs while a
-// fourth runs pipelined-CRT RsaSignBatch against the same pool.  Every
-// result must match the scalar oracle and the counters must be truthful.
+// fourth submits RSA-CRT halves together and recombines them through its
+// RsaCrtContext.  Every result must match the scalar oracle and the
+// counters must be truthful.
 TEST(ExpService, BurstyMultiTenantStressMatchesOracles) {
   auto rng = test::TestRng();
   std::vector<BigUInt> moduli;
@@ -1321,13 +1272,28 @@ TEST(ExpService, BurstyMultiTenantStressMatchesOracles) {
       }
     });
   }
-  // The RSA tenant interleaves two pipelined-CRT batches.
+  // The RSA tenant submits two rounds of CRT halves, each message's pair
+  // together, then recombines with the context's constants.
+  const crypto::RsaCrtContext rsa_context(rsa_key);
   std::vector<BigUInt> messages;
   for (int j = 0; j < 6; ++j) messages.push_back(rng.Below(rsa_key.n));
-  std::vector<BigUInt> signatures_a, signatures_b;
+  std::vector<BigUInt> signatures;
   std::thread rsa_tenant([&] {
-    signatures_a = crypto::RsaSignBatch(rsa_key, messages, service);
-    signatures_b = crypto::RsaSignBatch(rsa_key, messages, service);
+    for (int round = 0; round < 2; ++round) {
+      std::vector<std::pair<std::future<ExpService::Result>,
+                            std::future<ExpService::Result>>>
+          halves;
+      for (const BigUInt& m : messages) {
+        halves.push_back(service.SubmitTogether(
+            rsa_key.p, m % rsa_key.p, rsa_context.dp(), {}, rsa_key.q,
+            m % rsa_key.q, rsa_context.dq(), {}, {}));
+      }
+      for (auto& [p_half, q_half] : halves) {
+        signatures.push_back(crypto::RsaCrtRecombine(
+            rsa_key, rsa_context.q_inv(), p_half.get().value,
+            q_half.get().value));
+      }
+    }
   });
   for (std::thread& tenant : tenants) tenant.join();
   rsa_tenant.join();
@@ -1343,11 +1309,14 @@ TEST(ExpService, BurstyMultiTenantStressMatchesOracles) {
           << "tenant " << t << " job " << j;
     }
   }
-  // Pipelined CRT is bit-identical to the scalar private-key oracle.
-  ASSERT_EQ(signatures_a.size(), messages.size());
-  for (std::size_t j = 0; j < messages.size(); ++j) {
-    EXPECT_EQ(signatures_a[j], crypto::RsaPrivate(rsa_key, messages[j]));
-    EXPECT_EQ(signatures_b[j], signatures_a[j]);
+  // Pipelined CRT is bit-identical to the scalar private-key oracle and
+  // passes the context's Bellcore gate.
+  ASSERT_EQ(signatures.size(), 2 * messages.size());
+  for (std::size_t j = 0; j < signatures.size(); ++j) {
+    const BigUInt& m = messages[j % messages.size()];
+    EXPECT_EQ(signatures[j], crypto::RsaPrivate(rsa_key, m));
+    EXPECT_TRUE(crypto::RsaCrtResultOk(rsa_context.verify_engine(), rsa_key,
+                                       m, signatures[j]));
   }
 
   // Counter truthfulness: conservation across issue modes and the hold
@@ -1364,7 +1333,7 @@ TEST(ExpService, BurstyMultiTenantStressMatchesOracles) {
 }
 
 // Regression for the shutdown drain: destroying the service with jobs
-// still queued — including bonded pairs and callback-posted
+// still queued — including a pair submitted together and callback-posted
 // continuations — must resolve every future and run every continuation
 // before the destructor returns.  No callback may run after destruction.
 TEST(ExpService, ShutdownDrainsInFlightBondedPairsAndContinuations) {
@@ -1373,7 +1342,7 @@ TEST(ExpService, ShutdownDrainsInFlightBondedPairsAndContinuations) {
   for (int round = 0; round < 20; ++round) {
     std::vector<std::future<ExpService::Result>> futures;
     std::pair<std::future<ExpService::Result>, std::future<ExpService::Result>>
-        bonded;
+        together;
     auto callbacks = std::make_shared<std::atomic<int>>(0);
     auto continuations = std::make_shared<std::atomic<int>>(0);
     constexpr int kJobs = 12;
@@ -1391,8 +1360,8 @@ TEST(ExpService, ShutdownDrainsInFlightBondedPairsAndContinuations) {
               });
             }));
       }
-      bonded = service.SubmitPair(n, rng.Below(n), rng.Below(n), n,
-                                  rng.Below(n), rng.Below(n));
+      together = service.SubmitTogether(n, rng.Below(n), rng.Below(n), {},
+                                        n, rng.Below(n), rng.Below(n), {}, {});
       // Destructor runs here, racing the freshly queued work.
     }
     EXPECT_EQ(callbacks->load(), kJobs) << "round " << round;
@@ -1402,12 +1371,12 @@ TEST(ExpService, ShutdownDrainsInFlightBondedPairsAndContinuations) {
                 std::future_status::ready);
       future.get();
     }
-    ASSERT_EQ(bonded.first.wait_for(std::chrono::seconds(0)),
+    ASSERT_EQ(together.first.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
-    ASSERT_EQ(bonded.second.wait_for(std::chrono::seconds(0)),
+    ASSERT_EQ(together.second.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
-    bonded.first.get();
-    bonded.second.get();
+    together.first.get();
+    together.second.get();
   }
 }
 

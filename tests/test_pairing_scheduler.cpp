@@ -155,31 +155,6 @@ TEST(StealScheduler, StealTakesVictimsOldestGroupInRingOrder) {
   EXPECT_FALSE(fixed.Acquire(2, 0).has_value());
 }
 
-TEST(StealScheduler, BondedPairsNeverSplitAndSkipHolds) {
-  StealScheduler sched(TwoWorkerConfig());
-  sched.SubmitBonded(1, 2, 0);
-  auto issue = sched.Acquire(0, 0);
-  ASSERT_TRUE(issue.has_value());
-  EXPECT_TRUE(issue->bonded);
-  EXPECT_EQ(issue->count, 2u);
-  EXPECT_EQ(issue->ids[0], 1u);
-  EXPECT_EQ(issue->ids[1], 2u);
-  sched.OnGroupDone();
-  // With pairing disabled bonded submits degrade to two solo groups.
-  StealScheduler::Config solo_config = TwoWorkerConfig();
-  solo_config.enable_pairing = false;
-  StealScheduler solo(solo_config);
-  solo.SubmitBonded(1, 2, 0);
-  std::size_t jobs = 0;
-  while (auto got = solo.Acquire(0, 0)) {
-    EXPECT_EQ(got->count, 1u);
-    EXPECT_FALSE(got->bonded);
-    jobs += got->count;
-    solo.OnGroupDone();
-  }
-  EXPECT_EQ(jobs, 2u);
-}
-
 TEST(StealScheduler, AdaptiveBatchScalesWithBacklogAndCapsAtMaxBatch) {
   StealScheduler::Config config = TwoWorkerConfig();
   config.max_batch = 4;
@@ -208,7 +183,7 @@ TEST(StealScheduler, AdaptiveBatchScalesWithBacklogAndCapsAtMaxBatch) {
   EXPECT_EQ(light.AcquireBatch(0, 0, &issues), 1u);
 }
 
-// Model check: a seeded stream of submits, bonded submits, acquires,
+// Model check: a seeded stream of submits, acquires, cancellations,
 // completions, and clock advances, validated against a brute-force
 // reference model of what may legally issue.
 TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
@@ -222,7 +197,6 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
     StealScheduler sched(config);
 
     std::map<std::uint64_t, std::uint64_t> key_of;       // reference model
-    std::map<std::uint64_t, std::uint64_t> bond_partner;
     std::set<std::uint64_t> outstanding;                  // submitted, unissued
     std::set<std::uint64_t> issued;
     std::uint64_t next_id = 1;
@@ -239,10 +213,7 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
         outstanding.erase(id);
         ASSERT_TRUE(issued.insert(id).second) << "id issued twice: " << id;
       }
-      if (issue.bonded) {
-        ASSERT_EQ(issue.count, 2u);
-        ASSERT_EQ(bond_partner.at(issue.ids[0]), issue.ids[1]);
-      } else if (issue.count == 2) {
+      if (issue.count == 2) {
         ASSERT_EQ(key_of.at(issue.ids[0]), key_of.at(issue.ids[1]))
             << "opportunistic pair across keys";
       }
@@ -250,7 +221,7 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
     };
 
     for (int step = 0; step < 600; ++step) {
-      switch (rng.Engine().NextBelow(7)) {
+      switch (rng.Engine().NextBelow(6)) {
         case 0:
         case 1: {  // pairable submit on a small key space
           const std::uint64_t key = rng.Engine().NextBelow(3);
@@ -268,22 +239,12 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
           ++next_id;
           break;
         }
-        case 3: {  // bonded submit
-          key_of[next_id] = 90;
-          key_of[next_id + 1] = 91;
-          bond_partner[next_id] = next_id + 1;
-          outstanding.insert(next_id);
-          outstanding.insert(next_id + 1);
-          sched.SubmitBonded(next_id, next_id + 1, now);
-          next_id += 2;
-          break;
-        }
-        case 4: {  // acquire from a random worker
+        case 3: {  // acquire from a random worker
           const std::size_t worker = rng.Engine().NextBelow(config.workers);
           if (auto issue = sched.Acquire(worker, now)) check_issue(*issue);
           break;
         }
-        case 5: {  // deadline cancellation of a random queued job
+        case 4: {  // deadline cancellation of a random queued job
           if (outstanding.empty()) {
             // Cancelling an unknown / already-issued id must be a no-op.
             ASSERT_FALSE(sched.Cancel(next_id + 1000));

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -276,7 +277,8 @@ TEST(Pkcs1, RejectsTooSmallModulus) {
 TEST(Pkcs1, SignVerifyAndTamperDetection) {
   const auto& key = TestKey();
   const auto message = Bytes("a signed statement");
-  const BigUInt signature = crypto::RsaSignPkcs1V15(key, message);
+  const BigUInt signature =
+      crypto::RsaSignPkcs1V15(crypto::RsaCrtContext(key), message);
   EXPECT_TRUE(crypto::RsaVerifyPkcs1V15(key, message, signature));
   // Tampered message.
   const auto other = Bytes("a Signed statement");
@@ -550,12 +552,53 @@ TEST(SigningServiceTest, NonIdempotentRequestNotRetriedAfterDeadline) {
 }
 
 TEST(SigningServiceTest, RejectsMalformedKeysUpFront) {
-  auto key = TestKey();
-  key.q = key.p;  // p == q: not a CRT key
-  Keystore keystore;
-  keystore.AddTenant(1, {});
-  keystore.AddKey(1, 7, key);
-  EXPECT_THROW(SigningService{std::move(keystore)}, std::invalid_argument);
+  crypto::RsaKeyPair equal_primes = TestKey();  // p == q: not a CRT key
+  equal_primes.q = equal_primes.p;
+  crypto::RsaKeyPair mismatched = TestKey();  // p*q != n
+  mismatched.n += BigUInt{2};
+  crypto::RsaKeyPair unit_p = TestKey();  // p = 1, q = n: p-1 == 0
+  unit_p.p = BigUInt{1};
+  unit_p.q = unit_p.n;
+  for (const crypto::RsaKeyPair& bad : {equal_primes, mismatched, unit_p}) {
+    Keystore keystore;
+    keystore.AddTenant(1, {});
+    keystore.AddKey(1, 7, bad);
+    EXPECT_THROW(SigningService{std::move(keystore)}, std::invalid_argument)
+        << "p=" << bad.p.ToHex();
+  }
+}
+
+// A burst of concurrent requests: every released signature equals the
+// plain c^d oracle on its EMSA encoding, and the service pairs CRT
+// halves onto the dual-channel array.
+TEST(SigningServiceTest, BurstSignaturesMatchPlainOracleAndPairHalves) {
+  constexpr int kRequests = 24;
+  std::vector<std::future<SignResponse>> responses;
+  std::vector<std::string> messages;
+  SigningService service(OneTenantKeystore());
+  for (int i = 0; i < kRequests; ++i) {
+    messages.push_back("burst message " + std::to_string(i));
+    auto promise = std::make_shared<std::promise<SignResponse>>();
+    responses.push_back(promise->get_future());
+    SignRequest request = MakeRequest(messages.back());
+    request.request_id = static_cast<std::uint64_t>(i) + 1;
+    service.HandleRequest(EncodeSignRequest(request),
+                          [promise](SignResponse response) {
+                            promise->set_value(std::move(response));
+                          });
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    const SignResponse response = responses[i].get();
+    ASSERT_EQ(response.status, StatusCode::kOk)
+        << StatusCodeName(response.status);
+    const BigUInt em = crypto::EmsaPkcs1V15Encode(Bytes(messages[i]), 64);
+    EXPECT_EQ(BigUInt::FromBytesBE(response.payload),
+              crypto::RsaPrivate(TestKey(), em))
+        << "request " << i;
+  }
+  service.Wait();
+  EXPECT_GT(service.StatsSnapshot().CounterValue("issues.paired"), 0u);
+  EXPECT_EQ(service.Snapshot().ok, static_cast<std::uint64_t>(kRequests));
 }
 
 TEST(SigningServiceTest, DestructorDrainsInFlightRequests) {
