@@ -14,7 +14,11 @@
 //
 // The queue-depth sweep demonstrates the scheduling side: pairing needs
 // at least two queued jobs, so depth 1 pairs nothing and the pairing
-// fraction (and modelled throughput) climbs with depth.
+// fraction (and modelled throughput) climbs with depth.  It runs on the
+// DeterministicExecutor, in waves of `depth` jobs that each arrive at one
+// virtual tick, so its pairing is an exact function of the workload: on
+// a threaded pool a wave pairs its first two jobs only when the second
+// arrives before a worker claims the first, which the host decides.
 //
 // The multi-tenant stress section runs on the DeterministicExecutor —
 // the same scheduling core as the threaded service, driven by a virtual
@@ -47,6 +51,7 @@
 #include "bignum/random.hpp"
 #include "core/exp_service.hpp"
 #include "core/schedule.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -86,10 +91,10 @@ struct RunStats {
   double paired_fraction = 0;  // jobs that ran co-scheduled
 };
 
-/// Pushes the whole workload with at most `depth` jobs in flight (0 =
-/// unbounded) and accounts wall time and modelled array cycles.
-RunStats RunWorkload(const Workload& load, std::size_t workers, bool pairing,
-                     std::size_t depth = 0) {
+/// Pushes the whole workload through a threaded service and accounts
+/// wall time and modelled array cycles.
+RunStats RunWorkload(const Workload& load, std::size_t workers,
+                     bool pairing) {
   ExpService::Options options;
   options.workers = workers;
   options.enable_pairing = pairing;
@@ -101,28 +106,21 @@ RunStats RunWorkload(const Workload& load, std::size_t workers, bool pairing,
   std::vector<std::future<ExpService::Result>> futures;
   futures.reserve(jobs);
   std::uint64_t paired_jobs = 0;
-  const auto harvest = [&](std::size_t up_to) {
-    for (std::size_t j = futures.size(); j-- > up_to;) {
-      if (!futures[j].valid()) continue;
-      const ExpService::Result result = futures[j].get();
-      if (result.paired) {
-        ++paired_jobs;
-        // Both partners report the group total: attribute half each so
-        // every issue group counts once.
-        stats.model_cycles += result.stats.engine_cycles / 2;
-      } else {
-        stats.model_cycles += result.stats.engine_cycles;
-      }
-    }
-  };
   for (std::size_t j = 0; j < jobs; ++j) {
     futures.push_back(
         service.Submit(load.moduli[j], load.bases[j], load.exponents[j]));
-    if (depth != 0 && futures.size() % depth == 0) {
-      harvest(futures.size() - depth);
+  }
+  for (auto& future : futures) {
+    const ExpService::Result result = future.get();
+    if (result.paired) {
+      ++paired_jobs;
+      // Both partners report the group total: attribute half each so
+      // every issue group counts once.
+      stats.model_cycles += result.stats.engine_cycles / 2;
+    } else {
+      stats.model_cycles += result.stats.engine_cycles;
     }
   }
-  harvest(0);
   stats.wall_seconds =
       std::chrono::duration<double>(Clock::now() - begin).count();
   stats.wall_jobs_per_sec = static_cast<double>(jobs) / stats.wall_seconds;
@@ -131,6 +129,43 @@ RunStats RunWorkload(const Workload& load, std::size_t workers, bool pairing,
       1e9;
   stats.paired_fraction =
       static_cast<double>(paired_jobs) / static_cast<double>(jobs);
+  return stats;
+}
+
+/// Runs the workload on a DeterministicExecutor in waves of `depth` jobs
+/// (0 = one wave of everything): each wave arrives at one virtual tick,
+/// the next when the last job of the previous wave finishes.  Modelled
+/// cycles and pairs come from the registry (engine.cycles counts each
+/// issue group once; issues.paired counts pairs).
+RunStats RunDepthWaves(const Workload& load, std::size_t workers,
+                       std::size_t depth) {
+  ExpService::Options options;
+  options.workers = workers;
+  DeterministicExecutor exec(options);
+
+  const std::size_t jobs = load.moduli.size();
+  const std::size_t wave = depth == 0 ? jobs : depth;
+  const Clock::time_point begin = Clock::now();
+  for (std::size_t first = 0; first < jobs; first += wave) {
+    const std::uint64_t arrival = exec.Now();
+    for (std::size_t j = first; j < std::min(first + wave, jobs); ++j) {
+      exec.SubmitAt(arrival, load.moduli[j], load.bases[j],
+                    load.exponents[j]);
+    }
+    exec.RunUntilIdle();
+  }
+  RunStats stats;
+  stats.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - begin).count();
+  stats.wall_jobs_per_sec = static_cast<double>(jobs) / stats.wall_seconds;
+  const mont::obs::MetricsSnapshot metrics = exec.registry().Snapshot();
+  stats.model_cycles = metrics.CounterValue("engine.cycles");
+  stats.jobs_per_gigacycle =
+      static_cast<double>(jobs) / static_cast<double>(stats.model_cycles) *
+      1e9;
+  stats.paired_fraction =
+      static_cast<double>(2 * metrics.CounterValue("issues.paired")) /
+      static_cast<double>(jobs);
   return stats;
 }
 
@@ -232,7 +267,7 @@ struct StressStats {
   double paired_fraction = 0;
   std::uint64_t makespan = 0;
   std::uint64_t p50 = 0, p95 = 0, p99 = 0;  // virtual latency (cycles)
-  ExpService::Counters counters;
+  mont::obs::MetricsSnapshot metrics;        // the executor's registry
 };
 
 StressStats RunStress(const StressTrace& trace, std::size_t workers,
@@ -253,7 +288,7 @@ StressStats RunStress(const StressTrace& trace, std::size_t workers,
   exec.RunUntilIdle();
 
   StressStats stats;
-  stats.counters = exec.Snapshot();
+  stats.metrics = exec.registry().Snapshot();
   stats.makespan = exec.Now();
   std::set<std::tuple<std::size_t, std::uint64_t, std::uint64_t>> groups;
   std::vector<std::uint64_t> latencies;
@@ -343,8 +378,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n=== Pairing fraction vs queue depth (l = %zu, 2 workers) "
-              "===\n\n", lengths.front());
+  std::printf("\n=== Pairing fraction vs queue depth (l = %zu, 2 workers, "
+              "deterministic executor) ===\n\n", lengths.front());
   std::printf("%7s | %9s | %11s | %s\n", "depth", "paired", "j/Gcycle",
               "wall j/s");
   std::printf("--------+-----------+-------------+---------\n");
@@ -353,8 +388,7 @@ int main(int argc, char** argv) {
         MakeWorkload(lengths.front(), jobs, 0xdeb7full);
     for (const std::size_t depth : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}, std::size_t{0}}) {
-      const RunStats run =
-          RunWorkload(load, /*workers=*/2, /*pairing=*/true, depth);
+      const RunStats run = RunDepthWaves(load, /*workers=*/2, depth);
       std::printf("%7s | %8.0f%% | %11.2f | %8.1f\n",
                   depth == 0 ? "inf" : std::to_string(depth).c_str(),
                   run.paired_fraction * 100, run.jobs_per_gigacycle,
@@ -411,9 +445,9 @@ int main(int argc, char** argv) {
       {"latency_p95_cycles", stress.p95},
       {"latency_p99_cycles", stress.p99},
       {"makespan_cycles", stress.makespan},
-      {"steals", stress.counters.steals},
-      {"holds", stress.counters.holds},
-      {"unpair_timeouts", stress.counters.unpair_timeouts},
+      {"steals", stress.metrics.CounterValue("sched.steals")},
+      {"holds", stress.metrics.CounterValue("sched.holds")},
+      {"unpair_timeouts", stress.metrics.CounterValue("sched.unpair_timeouts")},
   });
   rows.push_back({
       {"phase", "stress_summary"},
@@ -429,20 +463,20 @@ int main(int argc, char** argv) {
   // Scheduler micro-metrics as their own artifact, so scheduling-policy
   // drift (holds, steals, batch shapes) is gated independently of the
   // throughput numbers above.
-  const ExpService::Counters& c = stress.counters;
+  const mont::obs::MetricsSnapshot& m = stress.metrics;
   const std::vector<mont::bench::JsonRow> sched_rows = {{
       {"scheduler", "stealing"},
       {"jobs", stress_jobs},
-      {"pair_issues", c.pair_issues},
-      {"single_issues", c.single_issues},
-      {"steals", c.steals},
-      {"holds", c.holds},
-      {"hold_pairs", c.hold_pairs},
-      {"unpair_timeouts", c.unpair_timeouts},
-      {"batch_acquires", c.batch_acquires},
-      {"max_batch_claimed", c.max_batch_claimed},
-      {"engine_cache_hits", c.engine_cache_hits},
-      {"engine_cache_misses", c.engine_cache_misses},
+      {"pair_issues", m.CounterValue("issues.paired")},
+      {"single_issues", m.CounterValue("issues.single")},
+      {"steals", m.CounterValue("sched.steals")},
+      {"holds", m.CounterValue("sched.holds")},
+      {"hold_pairs", m.CounterValue("sched.hold_pairs")},
+      {"unpair_timeouts", m.CounterValue("sched.unpair_timeouts")},
+      {"batch_acquires", m.CounterValue("sched.batch_acquires")},
+      {"max_batch_claimed", m.gauges.at("sched.max_batch_claimed")},
+      {"engine_cache_hits", m.CounterValue("engine.cache_hits")},
+      {"engine_cache_misses", m.CounterValue("engine.cache_misses")},
   }};
   const std::string sched_path = mont::bench::WriteBenchJson(
       "scheduler", sched_rows,

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -123,7 +124,7 @@ StressTrace MakeStressTrace(std::size_t jobs, std::size_t workers,
 
 struct RunResult {
   double wall_seconds = 0;
-  ExpService::Counters counters;
+  mont::obs::MetricsSnapshot metrics;  // the executor's registry
   std::size_t invariant_violations = 0;
 };
 
@@ -149,9 +150,9 @@ RunResult RunOnce(const StressTrace& trace, std::size_t workers,
   RunResult result;
   result.wall_seconds =
       std::chrono::duration<double>(Clock::now() - begin).count();
-  result.counters = exec.Snapshot();
+  result.metrics = exec.registry().Snapshot();
   result.invariant_violations =
-      exec.registry().CheckInvariants(exec.registry().Snapshot()).size();
+      exec.registry().CheckInvariants(result.metrics).size();
   return result;
 }
 
@@ -208,7 +209,7 @@ int main(int argc, char** argv) {
       tracer.Clear();
       RunResult result = RunOnce(trace, workers, &tracer);
       enabled_wall = std::min(enabled_wall, result.wall_seconds);
-      enabled_result = result;
+      enabled_result = std::move(result);
       events = tracer.EventCount();
       dropped = tracer.DroppedEvents();
     }
@@ -233,7 +234,7 @@ int main(int argc, char** argv) {
               "%llu jobs completed, %zu invariant violation(s)\n",
               events, static_cast<unsigned long long>(dropped),
               static_cast<unsigned long long>(
-                  enabled_result.counters.jobs_completed),
+                  enabled_result.metrics.CounterValue("jobs.completed")),
               enabled_result.invariant_violations);
 
   std::vector<mont::bench::JsonRow> rows;
@@ -253,17 +254,18 @@ int main(int argc, char** argv) {
   });
   // Deterministic per seed: a strict drift failure here means an
   // emission site or a scheduling decision changed, not the host.
+  const mont::obs::MetricsSnapshot& census = enabled_result.metrics;
   rows.push_back({
       {"phase", "trace_census"},
       {"jobs", jobs},
       {"workers", workers},
       {"trace_events", events},
       {"trace_dropped", dropped},
-      {"jobs_completed", enabled_result.counters.jobs_completed},
-      {"pair_issues", enabled_result.counters.pair_issues},
-      {"single_issues", enabled_result.counters.single_issues},
-      {"steals", enabled_result.counters.steals},
-      {"holds", enabled_result.counters.holds},
+      {"jobs_completed", census.CounterValue("jobs.completed")},
+      {"pair_issues", census.CounterValue("issues.paired")},
+      {"single_issues", census.CounterValue("issues.single")},
+      {"steals", census.CounterValue("sched.steals")},
+      {"holds", census.CounterValue("sched.holds")},
       {"invariant_violations", enabled_result.invariant_violations},
   });
   const std::string path =

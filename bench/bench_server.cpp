@@ -57,8 +57,9 @@
 
 #include "bench_json.hpp"
 #include "bignum/random.hpp"
-#include "obs/trace.hpp"
 #include "crypto/rsa.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "server/client.hpp"
 #include "server/keystore.hpp"
 #include "server/signing_service.hpp"
@@ -163,17 +164,17 @@ mont::bench::JsonRow DeadlineModelRow() {
     }
   }
   service.Wait();
-  const auto jobs = service.ServiceSnapshot();
+  const std::uint64_t jobs_cancelled =
+      service.registry().Snapshot().CounterValue("jobs.cancelled");
   std::printf("deadline_model: %zu offered -> %zu DEADLINE_EXCEEDED "
               "(%llu jobs cancelled in-scheduler)\n",
               offered, deadline_exceeded,
-              static_cast<unsigned long long>(jobs.deadline_exceeded));
+              static_cast<unsigned long long>(jobs_cancelled));
   return {{"stage", "deadline_model"},
           {"offered", static_cast<unsigned long long>(offered)},
           {"deadline_exceeded",
            static_cast<unsigned long long>(deadline_exceeded)},
-          {"jobs_cancelled",
-           static_cast<unsigned long long>(jobs.deadline_exceeded)}};
+          {"jobs_cancelled", static_cast<unsigned long long>(jobs_cancelled)}};
 }
 
 // --- sweep: closed-loop goodput vs offered load ----------------------------
@@ -293,18 +294,15 @@ class SweepLevel {
             ? static_cast<double>(point.sent) / point.wall_seconds
             : 0;
 
-    const auto counters = service_.Snapshot();
-    const auto jobs = service_.ServiceSnapshot();
-    if (counters.bad_signatures_released != 0) {
+    const mont::obs::MetricsSnapshot metrics = service_.registry().Snapshot();
+    if (metrics.CounterValue("server.bad_signatures_released") != 0) {
       std::fprintf(stderr, "FATAL: bad signature released under load\n");
       std::exit(1);
     }
-    if (jobs.jobs_submitted != jobs.jobs_completed + jobs.deadline_exceeded) {
-      std::fprintf(stderr, "FATAL: job counters do not conserve (%llu != "
-                           "%llu + %llu)\n",
-                   static_cast<unsigned long long>(jobs.jobs_submitted),
-                   static_cast<unsigned long long>(jobs.jobs_completed),
-                   static_cast<unsigned long long>(jobs.deadline_exceeded));
+    // jobs.conservation: jobs.submitted == jobs.completed + jobs.cancelled.
+    for (const std::string& violation :
+         service_.registry().CheckInvariants(metrics)) {
+      std::fprintf(stderr, "FATAL: %s\n", violation.c_str());
       std::exit(1);
     }
     return point;

@@ -191,31 +191,28 @@ int RunDemo(std::size_t requests, mont::obs::Tracer* tracer) {
   flood_thread.join();
   service.Wait();
 
-  const server::SigningService::Counters counters = service.Snapshot();
-  const mont::core::ExpService::Counters jobs = service.ServiceSnapshot();
+  const mont::obs::MetricsSnapshot metrics = service.registry().Snapshot();
+  const auto count = [&metrics](const char* name) {
+    return static_cast<unsigned long long>(metrics.CounterValue(name));
+  };
   std::printf("\n--- signing-service scorecard -----------------------\n");
-  std::printf("  requests seen             %12llu\n",
-              static_cast<unsigned long long>(counters.requests));
-  std::printf("  admitted                  %12llu\n",
-              static_cast<unsigned long long>(counters.admitted));
+  std::printf("  requests seen             %12llu\n", count("server.requests"));
+  std::printf("  admitted                  %12llu\n", count("server.admitted"));
   std::printf("  signatures released (ok)  %12llu  (polite %zu, flood %zu)\n",
-              static_cast<unsigned long long>(counters.ok), polite_ok,
-              flood_ok);
+              count("server.ok"), polite_ok, flood_ok);
   std::printf("  backpressure (typed)      %12llu\n",
-              static_cast<unsigned long long>(counters.rejected_backpressure));
+              count("server.rejected_backpressure"));
   std::printf("  shed under overload       %12llu\n",
-              static_cast<unsigned long long>(counters.shed_overload));
+              count("server.shed_overload"));
   std::printf("  faults caught (Bellcore)  %12llu\n",
-              static_cast<unsigned long long>(counters.faults_caught));
+              count("server.faults_caught"));
   std::printf("  bad signatures released   %12llu\n",
-              static_cast<unsigned long long>(counters.bad_signatures_released));
+              count("server.bad_signatures_released"));
   std::printf("  CRT half-jobs submitted   %12llu  (completed %llu, "
               "cancelled %llu)\n",
-              static_cast<unsigned long long>(jobs.jobs_submitted),
-              static_cast<unsigned long long>(jobs.jobs_completed),
-              static_cast<unsigned long long>(jobs.deadline_exceeded));
+              count("jobs.submitted"), count("jobs.completed"),
+              count("jobs.cancelled"));
   std::printf("  signature verify failures %12zu\n", verify_failures);
-  const mont::obs::MetricsSnapshot metrics = service.StatsSnapshot();
   const auto latency = metrics.histograms.find("server.latency_ticks");
   if (latency != metrics.histograms.end() && latency->second.count > 0) {
     std::printf("  latency p50 / p95 (ms)    %9.2f / %.2f\n",
@@ -231,11 +228,12 @@ int RunDemo(std::size_t requests, mont::obs::Tracer* tracer) {
               "on — nothing\nwas silently dropped, and no signature skipped "
               "the Bellcore gate.\n");
 
-  const bool conserved =
-      jobs.jobs_submitted == jobs.jobs_completed + jobs.deadline_exceeded;
+  // violations covers jobs.conservation (submitted == completed +
+  // cancelled).
   const bool healthy_served = polite_ok > 0;
-  return (verify_failures == 0 && counters.bad_signatures_released == 0 &&
-          conserved && healthy_served && violations.empty())
+  return (verify_failures == 0 &&
+          count("server.bad_signatures_released") == 0 && healthy_served &&
+          violations.empty())
              ? 0
              : 1;
 }
@@ -275,7 +273,7 @@ void OpsLoop(server::SigningService& service, std::atomic<bool>& stop) {
   std::uint64_t last_ok = 0;
   while (!stop.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(kInterval);
-    const mont::obs::MetricsSnapshot metrics = service.StatsSnapshot();
+    const mont::obs::MetricsSnapshot metrics = service.registry().Snapshot();
     const std::uint64_t ok = metrics.CounterValue("server.ok");
     const std::uint64_t requests = metrics.CounterValue("server.requests");
     const std::uint64_t refused =

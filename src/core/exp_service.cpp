@@ -331,31 +331,13 @@ std::shared_ptr<const MmmEngine> ExecutionCore::AcquireEngine(
   std::shared_ptr<const MmmEngine> engine =
       MakeEngine(engine_name, modulus, engine_options_);
   std::lock_guard<std::mutex> lk(cache_mu_);
-  if (cache_.Contains(key)) {
-    // The race loser's second lookup counts as a hit, matching the
-    // LruCache-internal tallies the registry counters mirror.
+  if (auto* hit = cache_.Get(key)) {
+    // A racing worker's Put won: adopt its engine, counted as a hit.
     metrics_.cache_hits.Increment();
-    return *cache_.Get(key);
+    return *hit;
   }
-  const std::uint64_t evictions_before = cache_.Evictions();
-  cache_.Put(key, engine);
-  metrics_.cache_evictions.Add(cache_.Evictions() - evictions_before);
+  if (cache_.Put(key, engine)) metrics_.cache_evictions.Increment();
   return engine;
-}
-
-std::uint64_t ExecutionCore::CacheHits() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return cache_.Hits();
-}
-
-std::uint64_t ExecutionCore::CacheMisses() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return cache_.Misses();
-}
-
-std::uint64_t ExecutionCore::CacheEvictions() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return cache_.Evictions();
 }
 
 void ExecutionCore::PublishGroupStats(const EngineStats& stats) {
@@ -378,45 +360,35 @@ ExecutionCore::Outcome ExecutionCore::RunGroup(
       const auto engine_b =
           AcquireEngine(ResolveEngineName(group[1]->options),
                         group[1]->modulus);
-      // Per-job engine overrides can put two backends on one issue —
-      // any mix works as long as both model pairable array streams of
-      // equal operand length.  The scheduler only groups equal-length
-      // pairable jobs, so this is a guard: a group that fails it runs as
-      // two solo issues instead of failing.
-      if (engine_a->Caps().pairable_streams &&
-          engine_b->Caps().pairable_streams &&
-          engine_a->l() == engine_b->l() &&
-          engine_a->Field() == engine_b->Field()) {
-        PairedExpResult paired = PairedModExp(
-            *engine_a, group[0]->base, EffectiveExponent(*group[0]),
-            *engine_b, group[1]->base, EffectiveExponent(*group[1]));
-        outcome.results[0].value = std::move(paired.a);
-        outcome.results[1].value = std::move(paired.b);
-        outcome.results[0].stats = paired.stats_a;
-        outcome.results[1].stats = paired.stats_b;
-        for (ExpResult& result : outcome.results) {
-          result.paired = true;
-          // The group's array occupancy is the closest per-job
-          // measurement pairing admits (the two MMM streams are
-          // interleaved cycle by cycle); both partners report the shared
-          // issue accounting.
-          result.stats.paired_issues = paired.stats.paired_issues;
-          result.stats.single_issues = paired.stats.single_issues;
-          result.stats.engine_cycles = paired.stats.engine_cycles;
-        }
-        outcome.paired = true;
-        // Publish once per group: per-job operation counts from both
-        // streams plus the *shared* issue accounting (counting it per
-        // result would double the array occupancy).
-        EngineStats group_stats = paired.stats_a;
-        group_stats += paired.stats_b;
-        group_stats.paired_issues = paired.stats.paired_issues;
-        group_stats.single_issues = paired.stats.single_issues;
-        group_stats.engine_cycles = paired.stats.engine_cycles;
-        PublishGroupStats(group_stats);
+      // Per-job engine overrides can put two backends on one issue; any
+      // mix of pairable backends of equal operand length co-schedules.
+      PairedExpResult paired = PairedModExp(
+          *engine_a, group[0]->base, EffectiveExponent(*group[0]), *engine_b,
+          group[1]->base, EffectiveExponent(*group[1]));
+      outcome.results[0].value = std::move(paired.a);
+      outcome.results[1].value = std::move(paired.b);
+      outcome.results[0].stats = paired.stats_a;
+      outcome.results[1].stats = paired.stats_b;
+      for (ExpResult& result : outcome.results) {
+        result.paired = true;
+        // The group's array occupancy is the closest per-job measurement
+        // pairing admits (the two MMM streams are interleaved cycle by
+        // cycle); both partners report the shared issue accounting.
+        result.stats.paired_issues = paired.stats.paired_issues;
+        result.stats.single_issues = paired.stats.single_issues;
+        result.stats.engine_cycles = paired.stats.engine_cycles;
       }
-    }
-    if (!outcome.paired) {
+      outcome.paired = true;
+      // Publish once per group: per-job operation counts from both
+      // streams plus the *shared* issue accounting (counting it per
+      // result would double the array occupancy).
+      EngineStats group_stats = paired.stats_a;
+      group_stats += paired.stats_b;
+      group_stats.paired_issues = paired.stats.paired_issues;
+      group_stats.single_issues = paired.stats.single_issues;
+      group_stats.engine_cycles = paired.stats.engine_cycles;
+      PublishGroupStats(group_stats);
+    } else {
       for (std::size_t i = 0; i < group.size(); ++i) {
         const auto engine = AcquireEngine(
             ResolveEngineName(group[i]->options), group[i]->modulus);
@@ -447,9 +419,9 @@ JobMetrics::JobMetrics(obs::Registry& registry)
 }
 
 void JobMetrics::CountGroup(bool paired, std::size_t jobs) {
-  // Issue accounting records what actually ran: a 2-job group whose
-  // backends could not co-schedule executed as two solo issues, never as
-  // fictitious dual-channel throughput.
+  // Issue accounting records what actually ran: a group that did not
+  // co-schedule (a solo job, or a pair whose run failed) counts a single
+  // issue per job, never fictitious dual-channel throughput.
   if (paired) {
     pair_issues.Increment();
   } else {
@@ -611,28 +583,6 @@ void ResolveCancelled(std::vector<Job>& jobs) {
   for (Job& job : jobs) RunCallback(job, cancelled);
 }
 
-ExpService::Counters MakeCounters(const JobMetrics& metrics,
-                                  const StealScheduler& sched,
-                                  const ExecutionCore& core) {
-  ExpService::Counters counters;
-  counters.jobs_submitted = metrics.submitted.Value();
-  counters.jobs_completed = metrics.completed.Value();
-  counters.deadline_exceeded = metrics.cancelled.Value();
-  counters.pair_issues = metrics.pair_issues.Value();
-  counters.single_issues = metrics.single_issues.Value();
-  const StealScheduler::Stats stats = sched.GetStats();
-  counters.steals = stats.steals;
-  counters.holds = stats.holds;
-  counters.hold_pairs = stats.hold_pairs;
-  counters.unpair_timeouts = stats.unpair_timeouts;
-  counters.batch_acquires = stats.batch_acquires;
-  counters.max_batch_claimed = stats.max_batch_claimed;
-  counters.engine_cache_hits = core.CacheHits();
-  counters.engine_cache_misses = core.CacheMisses();
-  counters.engine_cache_evictions = core.CacheEvictions();
-  return counters;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -772,10 +722,6 @@ void ExpService::Post(std::function<void()> continuation) {
 void ExpService::Wait() {
   std::unique_lock<std::mutex> lk(mu_);
   idle_cv_.wait(lk, [this] { return DrainedLocked(); });
-}
-
-ExpService::Counters ExpService::Snapshot() const {
-  return MakeCounters(metrics_, sched_, core_);
 }
 
 bool ExpService::AcquireIssues(std::size_t index,
@@ -1080,10 +1026,6 @@ void DeterministicExecutor::RunUntilIdle() {
     event.action();
   }
   running_ = false;
-}
-
-ExpService::Counters DeterministicExecutor::Snapshot() const {
-  return MakeCounters(metrics_, sched_, core_);
 }
 
 }  // namespace mont::core

@@ -140,9 +140,9 @@ struct ExpJobOptions {
   /// deadline has passed when a worker claims it is *cancelled before
   /// engine dispatch*: its future resolves with ExpResult::cancelled set
   /// (value empty, stats.cancelled = 1), its callback still fires, and
-  /// the service counts it under Counters::deadline_exceeded.  A job
-  /// already handed to an engine is never aborted mid-multiply — the
-  /// deadline bounds queueing, not execution.
+  /// the service counts it under jobs.cancelled.  A job already handed
+  /// to an engine is never aborted mid-multiply — the deadline bounds
+  /// queueing, not execution.
   std::uint64_t deadline = 0;
   /// Trace id stamped on every span/instant this job emits (0 = use the
   /// service-assigned job id).  Callers propagating a request through
@@ -185,8 +185,8 @@ struct ExpResult {
 class ExecutionCore {
  public:
   /// `registry` (may be null) receives the engine.* counters: cycle and
-  /// operation aggregates published per executed group, plus mirrors of
-  /// the engine-cache hit/miss/eviction tallies.
+  /// operation aggregates published per executed group, and the
+  /// engine-cache hits, misses and evictions.
   ExecutionCore(std::string engine_name, EngineOptions engine_options,
                 std::size_t cache_capacity, std::uint64_t blind_seed,
                 obs::Registry* registry = nullptr);
@@ -224,8 +224,9 @@ class ExecutionCore {
   };
 
   /// Runs one issue group (1 or 2 jobs): a 2-job group co-schedules via
-  /// PairedModExp when both backends pair and lengths/fields match,
-  /// otherwise every job runs solo.  Never throws — failures land in
+  /// PairedModExp, a 1-job group runs MmmEngine::ModExp.  The scheduler
+  /// only groups equal-length pairable jobs, so PairedModExp's own checks
+  /// fail only on a broken invariant.  Never throws — failures land in
   /// Outcome::error.
   Outcome RunGroup(std::span<const JobSpec* const> group);
 
@@ -237,9 +238,6 @@ class ExecutionCore {
 
   const std::string& engine_name() const { return engine_name_; }
   const EngineOptions& engine_options() const { return engine_options_; }
-  std::uint64_t CacheHits() const;
-  std::uint64_t CacheMisses() const;
-  std::uint64_t CacheEvictions() const;
 
  private:
   /// Validates a modulus for this core's field (throws
@@ -258,8 +256,8 @@ class ExecutionCore {
   std::mutex blind_mu_;  // guards blind_rng_ only
   bignum::RandomBigUInt blind_rng_;
 
-  mutable std::mutex cache_mu_;  // independent of the service mutex
-  mutable LruCache<std::string, std::shared_ptr<const MmmEngine>> cache_;
+  std::mutex cache_mu_;  // independent of the service mutex
+  LruCache<std::string, std::shared_ptr<const MmmEngine>> cache_;
 
   struct {
     obs::Counter engine_cycles;
@@ -284,7 +282,7 @@ struct JobMetrics {
 
   obs::Counter submitted;
   obs::Counter completed;
-  obs::Counter cancelled;  ///< deadline_exceeded in the compat Counters
+  obs::Counter cancelled;  ///< deadline expired before engine dispatch
   obs::Counter pair_issues;
   obs::Counter single_issues;
 };
@@ -342,8 +340,8 @@ class ExpService {
     // --- observability -------------------------------------------------
     /// Metrics registry absorbing every service counter (jobs.*,
     /// issues.*, engine.*, sched.*) behind stable dotted names.  Null:
-    /// the service owns a private registry — Snapshot() and registry()
-    /// read the same counters either way.  Must outlive the service.
+    /// the service owns a private registry.  registry() reads whichever
+    /// is in use.  Must outlive the service.
     obs::Registry* registry = nullptr;
     /// Span tracer for the job lifecycle (job.submit, sched.*, job.run,
     /// job.cancelled).  Null disables tracing; a disabled tracer costs
@@ -412,40 +410,12 @@ class ExpService {
   /// Blocks until every job submitted so far has completed.
   void Wait();
 
-  /// Compat snapshot of the registry-backed counters.  The obs::Registry
-  /// (Options::registry, or the service's private one — see registry())
-  /// is the single source of truth; Snapshot() materialises this struct
-  /// from it so existing callers keep their field names.
-  struct Counters {
-    std::uint64_t jobs_submitted = 0;
-    /// Jobs that executed to completion.  Conservation: on a drained
-    /// service, jobs_submitted == jobs_completed + deadline_exceeded.
-    std::uint64_t jobs_completed = 0;
-    /// Jobs cancelled at claim time because their deadline had passed —
-    /// dropped before engine dispatch, futures resolved with
-    /// ExpResult::cancelled (no silent drops).
-    std::uint64_t deadline_exceeded = 0;
-    /// Issues that actually co-scheduled two jobs onto one dual-channel
-    /// array.
-    std::uint64_t pair_issues = 0;
-    std::uint64_t single_issues = 0;  ///< jobs issued solo
-    std::uint64_t engine_cache_hits = 0;
-    std::uint64_t engine_cache_misses = 0;
-    std::uint64_t engine_cache_evictions = 0;
-    // --- scheduler counters --------------------------------------------
-    std::uint64_t steals = 0;           ///< groups taken from another deque
-    std::uint64_t holds = 0;            ///< jobs held waiting for a partner
-    std::uint64_t hold_pairs = 0;       ///< holds that found a partner
-    std::uint64_t unpair_timeouts = 0;  ///< holds released solo by timeout
-    std::uint64_t batch_acquires = 0;   ///< multi-group batch claims
-    std::uint64_t max_batch_claimed = 0;
-  };
-  Counters Snapshot() const;
-
   /// The metrics registry every counter lives in: Options::registry when
-  /// provided, the service's private one otherwise.  Registered names:
-  /// jobs.submitted / jobs.completed / jobs.cancelled, issues.paired /
-  /// issues.single, engine.*, sched.* — plus the jobs.conservation
+  /// provided, the service's private one otherwise.  Read it with
+  /// registry().Snapshot().  Every name is registered at construction, so
+  /// a snapshot lists each one even at 0: the jobs.* / issues.* of
+  /// JobMetrics, the engine.* of ExecutionCore and the sched.* of
+  /// StealScheduler::Config::registry — plus the jobs.conservation
   /// invariant (submitted == completed + cancelled on a drained
   /// service).
   obs::Registry& registry() const { return *registry_; }
@@ -546,9 +516,6 @@ class DeterministicExecutor {
     bool cancelled = false;
   };
   const std::vector<JobRecord>& Records() const { return records_; }
-
-  ExpService::Counters Snapshot() const;
-  StealScheduler::Stats SchedulerStats() const { return sched_.GetStats(); }
 
   /// The metrics registry (Options::registry or the executor's private
   /// one); same dotted names as the threaded service.

@@ -30,11 +30,8 @@ StealScheduler::StealScheduler(Config config) : config_(config) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.max_batch == 0) config_.max_batch = 1;
   deques_.resize(config_.workers);
-  obs::Registry* registry = config_.registry;
-  if (registry == nullptr) {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    registry = owned_registry_.get();
-  }
+  obs::Registry* const registry = config_.registry;
+  if (registry == nullptr) return;  // handles stay no-op sinks
   metrics_.dispatched_groups = registry->GetCounter("sched.dispatched_groups");
   metrics_.pairs_formed = registry->GetCounter("sched.pairs_formed");
   metrics_.holds = registry->GetCounter("sched.holds");
@@ -44,21 +41,6 @@ StealScheduler::StealScheduler(Config config) : config_(config) {
   metrics_.batch_acquires = registry->GetCounter("sched.batch_acquires");
   metrics_.cancelled = registry->GetCounter("sched.cancelled");
   metrics_.max_batch_claimed = registry->GetGauge("sched.max_batch_claimed");
-}
-
-StealScheduler::Stats StealScheduler::GetStats() const {
-  Stats stats;
-  stats.dispatched_groups = metrics_.dispatched_groups.Value();
-  stats.pairs_formed = metrics_.pairs_formed.Value();
-  stats.holds = metrics_.holds.Value();
-  stats.hold_pairs = metrics_.hold_pairs.Value();
-  stats.unpair_timeouts = metrics_.unpair_timeouts.Value();
-  stats.steals = metrics_.steals.Value();
-  stats.batch_acquires = metrics_.batch_acquires.Value();
-  stats.max_batch_claimed =
-      static_cast<std::uint64_t>(metrics_.max_batch_claimed.Value());
-  stats.cancelled = metrics_.cancelled.Value();
-  return stats;
 }
 
 bool StealScheduler::RecordArrivalAndClassify(std::uint64_t key,

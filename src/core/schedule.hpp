@@ -32,7 +32,6 @@
 #include <cstddef>
 #include <deque>
 #include <list>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -179,9 +178,10 @@ class StealScheduler {
     std::uint64_t unpair_timeout = 200'000;
     /// Upper bound of one adaptive batch claim (lower bound is 1).
     std::size_t max_batch = 8;
-    /// Metrics registry backing the sched.* counters.  When null the
-    /// scheduler owns a private registry; GetStats() reads the same
-    /// counters either way.
+    /// Metrics registry receiving the sched.* counters (dispatched_groups,
+    /// pairs_formed, holds, hold_pairs, unpair_timeouts, steals,
+    /// batch_acquires, cancelled; gauge max_batch_claimed).  Null leaves
+    /// every handle a no-op sink.
     obs::Registry* registry = nullptr;
     /// Span tracer for hold/pair/steal/unpair decision events (ticks are
     /// the ones passed into Submit/Acquire, so DES replays trace
@@ -200,21 +200,6 @@ class StealScheduler {
     bool unpaired_by_timeout = false;
     /// Submit tick of the group's oldest member.
     std::uint64_t arrival = 0;
-  };
-
-  /// Compat snapshot of the sched.* registry counters.  The registry is
-  /// the single source of truth; this struct is only materialised by
-  /// GetStats() so existing callers keep their field names.
-  struct Stats {
-    std::uint64_t dispatched_groups = 0;  ///< groups that entered a deque
-    std::uint64_t pairs_formed = 0;       ///< opportunistic pairs (all paths)
-    std::uint64_t holds = 0;         ///< jobs held waiting for a partner
-    std::uint64_t hold_pairs = 0;    ///< holds that found a partner in time
-    std::uint64_t unpair_timeouts = 0;  ///< holds released solo by the timeout
-    std::uint64_t steals = 0;
-    std::uint64_t batch_acquires = 0;     ///< AcquireBatch calls claiming > 1
-    std::uint64_t max_batch_claimed = 0;  ///< largest single batch
-    std::uint64_t cancelled = 0;  ///< jobs removed by Cancel before acquire
   };
 
   explicit StealScheduler(Config config);
@@ -261,7 +246,6 @@ class StealScheduler {
   std::size_t InFlightGroups() const { return in_flight_groups_; }
   std::size_t QueueDepth(std::size_t worker) const;
   std::size_t HeldJobs() const { return waiting_.size(); }
-  Stats GetStats() const;
   const Config& GetConfig() const { return config_; }
 
  private:
@@ -314,18 +298,16 @@ class StealScheduler {
   std::size_t rr_cursor_ = 0;  // round-robin tie-break for dispatch
   std::size_t queued_jobs_ = 0;
   std::size_t in_flight_groups_ = 0;
-  /// Backs the sched.* handles when Config::registry is null.
-  std::unique_ptr<obs::Registry> owned_registry_;
   struct {
-    obs::Counter dispatched_groups;
-    obs::Counter pairs_formed;
-    obs::Counter holds;
-    obs::Counter hold_pairs;
-    obs::Counter unpair_timeouts;
+    obs::Counter dispatched_groups;  ///< groups that entered a deque
+    obs::Counter pairs_formed;       ///< pairs formed (all paths)
+    obs::Counter holds;              ///< jobs held waiting for a partner
+    obs::Counter hold_pairs;         ///< holds that found a partner in time
+    obs::Counter unpair_timeouts;    ///< holds released solo by the timeout
     obs::Counter steals;
-    obs::Counter batch_acquires;
-    obs::Counter cancelled;
-    obs::Gauge max_batch_claimed;
+    obs::Counter batch_acquires;     ///< AcquireBatch calls claiming > 1
+    obs::Counter cancelled;          ///< jobs removed by Cancel before acquire
+    obs::Gauge max_batch_claimed;    ///< largest single batch
   } metrics_;
 };
 
@@ -341,49 +323,40 @@ class LruCache {
   /// The pointer is valid until the next Put().
   Value* Get(const Key& key) {
     const auto it = index_.find(key);
-    if (it == index_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
+    if (it == index_.end()) return nullptr;
     order_.splice(order_.begin(), order_, it->second);
     return &it->second->second;
   }
 
   /// Inserts (or replaces) `key`, evicting the least-recently-used entry
-  /// if the cache would exceed capacity.
-  void Put(const Key& key, Value value) {
-    if (capacity_ == 0) return;
+  /// if the cache would exceed capacity.  Returns whether it evicted.
+  bool Put(const Key& key, Value value) {
+    if (capacity_ == 0) return false;
     const auto it = index_.find(key);
     if (it != index_.end()) {
       it->second->second = std::move(value);
       order_.splice(order_.begin(), order_, it->second);
-      return;
+      return false;
     }
-    if (order_.size() == capacity_) {
+    const bool evict = order_.size() == capacity_;
+    if (evict) {
       index_.erase(order_.back().first);
       order_.pop_back();
-      ++evictions_;
     }
     order_.emplace_front(key, std::move(value));
     index_[key] = order_.begin();
+    return evict;
   }
 
   bool Contains(const Key& key) const { return index_.count(key) != 0; }
   std::size_t Size() const { return order_.size(); }
   std::size_t Capacity() const { return capacity_; }
-  std::uint64_t Hits() const { return hits_; }
-  std::uint64_t Misses() const { return misses_; }
-  std::uint64_t Evictions() const { return evictions_; }
 
  private:
   std::size_t capacity_;
   std::list<std::pair<Key, Value>> order_;  // most recent first
   std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator>
       index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace mont::core

@@ -8,16 +8,13 @@
 namespace mont::server {
 
 ChaosLayer::ChaosLayer(ChaosOptions options, obs::Registry* registry)
-    : options_(options),
-      rng_(options.seed),
-      owned_registry_(registry == nullptr ? std::make_unique<obs::Registry>()
-                                          : nullptr) {
-  obs::Registry& reg = registry != nullptr ? *registry : *owned_registry_;
-  metrics_.worker_stalls = reg.GetCounter("chaos.worker_stalls");
-  metrics_.crt_corruptions = reg.GetCounter("chaos.crt_corruptions");
-  metrics_.requests_dropped = reg.GetCounter("chaos.requests_dropped");
-  metrics_.responses_dropped = reg.GetCounter("chaos.responses_dropped");
-  metrics_.frames_garbled = reg.GetCounter("chaos.frames_garbled");
+    : options_(options), rng_(options.seed) {
+  if (registry == nullptr) return;  // handles stay no-op sinks
+  metrics_.worker_stalls = registry->GetCounter("chaos.worker_stalls");
+  metrics_.crt_corruptions = registry->GetCounter("chaos.crt_corruptions");
+  metrics_.requests_dropped = registry->GetCounter("chaos.requests_dropped");
+  metrics_.responses_dropped = registry->GetCounter("chaos.responses_dropped");
+  metrics_.frames_garbled = registry->GetCounter("chaos.frames_garbled");
 }
 
 bool ChaosLayer::Draw(double rate) {
@@ -96,16 +93,6 @@ std::uint64_t ChaosLayer::SlowTenantDelayMicros(std::uint32_t tenant_id) const {
     return 0;
   }
   return options_.slow_tenant_micros;
-}
-
-ChaosLayer::Counters ChaosLayer::Snapshot() const {
-  Counters counters;
-  counters.worker_stalls = metrics_.worker_stalls.Value();
-  counters.crt_corruptions = metrics_.crt_corruptions.Value();
-  counters.requests_dropped = metrics_.requests_dropped.Value();
-  counters.responses_dropped = metrics_.responses_dropped.Value();
-  counters.frames_garbled = metrics_.frames_garbled.Value();
-  return counters;
 }
 
 }  // namespace mont::server

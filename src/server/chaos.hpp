@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 
 #include "bignum/biguint.hpp"
@@ -56,10 +55,11 @@ struct ChaosOptions {
 
 class ChaosLayer {
  public:
-  /// `registry` (may be null) receives the chaos.* injection counters;
-  /// with null the layer owns a private registry so Snapshot() always
-  /// works.  Pass the SigningService's registry to get one merged
-  /// chaos.* + server.* + jobs.* snapshot from the STATS verb.
+  /// `registry` (may be null) receives the chaos.* injection counters
+  /// (chaos.<field> for each metrics_ field below, registered here); with
+  /// null they are no-op sinks.  Pass the SigningService's registry
+  /// (Options::service.registry) to get one merged chaos.* + server.* +
+  /// jobs.* snapshot from the STATS verb.
   explicit ChaosLayer(ChaosOptions options,
                       obs::Registry* registry = nullptr);
 
@@ -79,25 +79,12 @@ class ChaosLayer {
   /// Transport-side delay for a tenant's request (microseconds, 0 = none).
   std::uint64_t SlowTenantDelayMicros(std::uint32_t tenant_id) const;
 
-  /// Compat snapshot of the chaos.* registry counters (the struct the
-  /// chaos suite predates the obs::Registry with).
-  struct Counters {
-    std::uint64_t worker_stalls = 0;
-    std::uint64_t crt_corruptions = 0;
-    std::uint64_t requests_dropped = 0;
-    std::uint64_t responses_dropped = 0;
-    std::uint64_t frames_garbled = 0;
-  };
-  Counters Snapshot() const;
-
  private:
   bool Draw(double rate);
 
   ChaosOptions options_;
   mutable std::mutex mu_;
   bignum::Xoshiro256 rng_;
-  /// Backs the handles when no registry was supplied.
-  std::unique_ptr<obs::Registry> owned_registry_;
   struct {
     obs::Counter worker_stalls;
     obs::Counter crt_corruptions;

@@ -343,8 +343,8 @@ void SigningService::Finish(const std::shared_ptr<RequestState>& state,
         {{"status", static_cast<std::uint64_t>(status)},
          {"attempts", static_cast<std::uint64_t>(state->attempts)}});
   }
-  // Bump before dropping in_flight_ so Wait()-then-Snapshot() observes
-  // the final status counter.
+  // Bump before dropping in_flight_ so a registry snapshot taken after
+  // Wait() observes the final status counter.
   Bump(status);
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -407,32 +407,6 @@ void SigningService::Wait() {
   // Also drain the ExpService so job-level counters have settled (the
   // last response can fire before its worker retires the issue group).
   exp_->Wait();
-}
-
-SigningService::Counters SigningService::Snapshot() const {
-  Counters counters;
-  counters.requests = metrics_.requests.Value();
-  counters.pings = metrics_.pings.Value();
-  counters.stats_requests = metrics_.stats_requests.Value();
-  counters.admitted = metrics_.admitted.Value();
-  counters.ok = metrics_.ok.Value();
-  counters.rejected_backpressure = metrics_.rejected_backpressure.Value();
-  counters.shed_overload = metrics_.shed_overload.Value();
-  counters.deadline_exceeded = metrics_.deadline_exceeded.Value();
-  counters.retry_exhausted = metrics_.retry_exhausted.Value();
-  counters.shutdown_refused = metrics_.shutdown_refused.Value();
-  counters.malformed = metrics_.malformed.Value();
-  counters.unknown_tenant = metrics_.unknown_tenant.Value();
-  counters.unknown_key = metrics_.unknown_key.Value();
-  counters.faults_caught = metrics_.faults_caught.Value();
-  counters.internal_retries = metrics_.internal_retries.Value();
-  counters.bad_signatures_released =
-      metrics_.bad_signatures_released.Value();
-  return counters;
-}
-
-core::ExpService::Counters SigningService::ServiceSnapshot() const {
-  return exp_->Snapshot();
 }
 
 }  // namespace mont::server

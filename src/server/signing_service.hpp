@@ -19,8 +19,8 @@
 //     Bellcore/Lenstra check.  A corrupted half (chaos injection or a real
 //     compute fault) is caught, the request silently retried up to
 //     max_internal_retries, and a bad signature is NEVER released —
-//     Counters::bad_signatures_released exists to let tests assert the
-//     zero;
+//     the server.bad_signatures_released counter exists to let tests
+//     assert the zero;
 //   * clean shutdown — the destructor drains in-flight work; internal
 //     retries racing destruction respond kShuttingDown instead of
 //     submitting into a stopping service.  Every admitted request gets
@@ -114,49 +114,16 @@ class SigningService {
 
   /// Blocks until every admitted request's response callback has
   /// returned AND the underlying ExpService has retired every job (so
-  /// counter snapshots are stable).
+  /// registry().Snapshot() is stable and its invariants hold).
   void Wait();
 
-  /// Compat snapshot of the server.* registry counters.  The registry
-  /// (registry()) is the storage; this struct is materialised per call
-  /// for tests that predate it.
-  struct Counters {
-    std::uint64_t requests = 0;  ///< decoded payloads seen (incl. pings)
-    std::uint64_t pings = 0;
-    std::uint64_t stats_requests = 0;  ///< STATS verbs answered
-    std::uint64_t admitted = 0;
-    std::uint64_t ok = 0;
-    std::uint64_t rejected_backpressure = 0;
-    std::uint64_t shed_overload = 0;
-    std::uint64_t deadline_exceeded = 0;
-    /// Requests that exhausted max_internal_retries (every attempt caught
-    /// by the Bellcore gate) and were answered kInternalRetrying.
-    std::uint64_t retry_exhausted = 0;
-    std::uint64_t shutdown_refused = 0;
-    std::uint64_t malformed = 0;
-    std::uint64_t unknown_tenant = 0;
-    std::uint64_t unknown_key = 0;
-    /// Bellcore-detected faults (== chaos corruptions that reached
-    /// recombination, plus any real compute fault).
-    std::uint64_t faults_caught = 0;
-    /// Internal re-sign attempts issued after a caught fault.
-    std::uint64_t internal_retries = 0;
-    /// THE invariant counter: a signature released to a client whose
-    /// Bellcore check did not pass.  Structurally unreachable — the only
-    /// kOk path is behind RsaCrtResultOk — and asserted == 0 by the chaos
-    /// suite.
-    std::uint64_t bad_signatures_released = 0;
-  };
-  Counters Snapshot() const;
-  /// Underlying ExpService counters (deadline conservation etc.).
-  core::ExpService::Counters ServiceSnapshot() const;
   /// The metrics registry every counter lives in (server.* + the
   /// ExpService's jobs.*/sched.*/engine.*): Options::service.registry
-  /// when that was set, the service's private one otherwise.  What the
-  /// STATS verb renders.
+  /// when that was set, the service's private one otherwise.  Its
+  /// Snapshot() is what the STATS verb renders.  Every server.* name
+  /// (server.<field> for each metrics_ field below) is registered at
+  /// construction, so a snapshot lists it even at 0.
   obs::Registry& registry() const { return *registry_; }
-  /// Merged metrics snapshot — the STATS verb's source of truth.
-  obs::MetricsSnapshot StatsSnapshot() const { return registry_->Snapshot(); }
 
   std::size_t MaxFrameBytes() const { return max_frame_bytes_; }
   const Keystore& keystore() const { return keystore_; }
@@ -223,21 +190,30 @@ class SigningService {
   obs::Registry* registry_ = nullptr;
   obs::Tracer* tracer_ = nullptr;  ///< Options::service.tracer (may be null)
   struct {
-    obs::Counter requests;
+    obs::Counter requests;  ///< decoded payloads seen (incl. pings)
     obs::Counter pings;
-    obs::Counter stats_requests;
+    obs::Counter stats_requests;  ///< STATS verbs answered
     obs::Counter admitted;
     obs::Counter ok;
     obs::Counter rejected_backpressure;
     obs::Counter shed_overload;
     obs::Counter deadline_exceeded;
+    /// Requests that exhausted max_internal_retries (every attempt caught
+    /// by the Bellcore gate) and were answered kInternalRetrying.
     obs::Counter retry_exhausted;
     obs::Counter shutdown_refused;
     obs::Counter malformed;
     obs::Counter unknown_tenant;
     obs::Counter unknown_key;
+    /// Bellcore-detected faults (== chaos corruptions that reached
+    /// recombination, plus any real compute fault).
     obs::Counter faults_caught;
+    /// Internal re-sign attempts issued after a caught fault.
     obs::Counter internal_retries;
+    /// THE invariant counter: a signature released to a client whose
+    /// Bellcore check did not pass.  Structurally unreachable — the only
+    /// kOk path is behind RsaCrtResultOk — and asserted == 0 by the chaos
+    /// suite.
     obs::Counter bad_signatures_released;
     obs::Histogram latency_ticks;  ///< admit → release, service-clock ticks
   } metrics_;

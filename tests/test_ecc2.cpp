@@ -166,7 +166,7 @@ TEST(BinaryCurve, ScalarMulBatchStressMatchesScalarOracle) {
   EXPECT_GT(stats.field_inversions, 0u);
   // The lockstep rounds queue same-modulus inversions together, so the
   // pairing scheduler must two-pack them onto the dual-field array.
-  EXPECT_GT(service.Snapshot().pair_issues, 0u);
+  EXPECT_GT(test::CounterOf(service.registry(), "issues.paired"), 0u);
 
   const auto at_infinity =
       curve.ScalarMulBatch(scalars, BinaryPoint::Infinity(), service);

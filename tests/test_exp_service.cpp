@@ -42,6 +42,7 @@ namespace {
 using bignum::BigUInt;
 using bignum::BitSerialMontgomery;
 using bignum::RandomBigUInt;
+using test::CounterOf;
 
 // ---------------------------------------------------------------------------
 // Dual-modulus interleaved array
@@ -277,15 +278,15 @@ TEST(ExpService, StressManyThreadedJobsMatchScalarOracle) {
     }
   }
 
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.jobs_submitted, kThreads * kJobsPerThread);
-  EXPECT_EQ(counters.jobs_completed, kThreads * kJobsPerThread);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "jobs.submitted"), kThreads * kJobsPerThread);
+  EXPECT_EQ(CounterOf(counters, "jobs.completed"), kThreads * kJobsPerThread);
   // With duplicate bit lengths queued from 4 threads, pairing must fire.
-  EXPECT_GT(counters.pair_issues, 0u);
+  EXPECT_GT(CounterOf(counters, "issues.paired"), 0u);
   // Repeated moduli must hit the engine cache, and the pool exceeding the
   // capacity must evict.
-  EXPECT_GT(counters.engine_cache_hits, 0u);
-  EXPECT_GT(counters.engine_cache_evictions, 0u);
+  EXPECT_GT(CounterOf(counters, "engine.cache_hits"), 0u);
+  EXPECT_GT(CounterOf(counters, "engine.cache_evictions"), 0u);
 }
 
 // Paired (dual-channel) and unpaired execution must agree bit for bit.
@@ -382,14 +383,14 @@ TEST(ExpService, SubmitTogetherPairsAtIdle) {
     service.Wait();  // idle again before the next round
   }
   EXPECT_EQ(callbacks.load(), 2 * kRounds);
-  EXPECT_EQ(service.Snapshot().pair_issues,
+  EXPECT_EQ(CounterOf(service.registry(), "issues.paired"),
             static_cast<std::uint64_t>(kRounds));
   // A bad second modulus throws before either job is queued.
   EXPECT_THROW(service.SubmitTogether(n_a, BigUInt{2}, BigUInt{3}, {},
                                       BigUInt{24}, BigUInt{2}, BigUInt{3}, {},
                                       {}),
                std::invalid_argument);
-  EXPECT_EQ(service.Snapshot().jobs_submitted,
+  EXPECT_EQ(CounterOf(service.registry(), "jobs.submitted"),
             static_cast<std::uint64_t>(2 * kRounds));
 }
 
@@ -456,7 +457,7 @@ TEST(ExpService, NamedBackendsProduceIdenticalResults) {
     // The pairing credit belongs to the array-schedule family only; a
     // word-serial backend silently falls back to solo issue.
     if (!EngineRegistry::Global().Find(name)->caps.pairable_streams) {
-      EXPECT_EQ(service.Snapshot().pair_issues, 0u) << name;
+      EXPECT_EQ(CounterOf(service.registry(), "issues.paired"), 0u) << name;
     }
   }
 }
@@ -497,7 +498,7 @@ TEST(ExpService, Gf2FieldExponentiationService) {
     exponents.push_back(inv_exponent);
   }
   for (auto& future : service.SubmitBatch(f, bases, exponents)) future.get();
-  EXPECT_GT(service.Snapshot().pair_issues, 0u);
+  EXPECT_GT(CounterOf(service.registry(), "issues.paired"), 0u);
   // Field-polynomial validation: f(0) must be 1 and deg(f) >= 2.
   EXPECT_THROW(service.Submit(BigUInt{0x12}, BigUInt{1}, BigUInt{1}),
                std::invalid_argument);
@@ -515,16 +516,16 @@ TEST(ExpService, EngineCacheReusesHotModulus) {
   for (int j = 0; j < 6; ++j) {
     service.Submit(n, rng.Below(n), rng.Below(n)).get();
   }
-  auto counters = service.Snapshot();
-  EXPECT_EQ(counters.engine_cache_misses, 1u);
-  EXPECT_EQ(counters.engine_cache_hits, 5u);
+  obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "engine.cache_misses"), 1u);
+  EXPECT_EQ(CounterOf(counters, "engine.cache_hits"), 5u);
   // Rotating through more moduli than the cache holds must evict.
   for (const std::size_t bits : {16u, 24u, 40u}) {
     const BigUInt other = rng.OddExactBits(bits);
     service.Submit(other, rng.Below(other), rng.Below(other)).get();
   }
-  counters = service.Snapshot();
-  EXPECT_GT(counters.engine_cache_evictions, 0u);
+  counters = service.registry().Snapshot();
+  EXPECT_GT(CounterOf(counters, "engine.cache_evictions"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -598,10 +599,10 @@ TEST(ExpServiceJobOptions, MixedEngineStressMatchesScalarOracle) {
       }
     }
   }
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.jobs_completed, kThreads * kJobsPerThread);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "jobs.completed"), kThreads * kJobsPerThread);
   // Pairable jobs of equal length still pair around the solo overrides.
-  EXPECT_GT(counters.pair_issues, 0u);
+  EXPECT_GT(CounterOf(counters, "issues.paired"), 0u);
 }
 
 TEST(ExpServiceJobOptions, OverrideFallsBackToServiceDefault) {
@@ -623,8 +624,8 @@ TEST(ExpServiceJobOptions, OverrideFallsBackToServiceDefault) {
   EXPECT_EQ(via_default, via_override);
   EXPECT_EQ(via_default, BigUInt::ModExp(base, exponent, n));
   // Both backends (and only those) populated the cache.
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.engine_cache_misses, 2u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "engine.cache_misses"), 2u);
 }
 
 // A non-pairable *default* backend must not disable pairing for jobs
@@ -657,14 +658,14 @@ TEST(ExpServiceJobOptions, PairableOverridesPairOnNonPairableDefault) {
     ASSERT_EQ(via_override.value, want);
     EXPECT_FALSE(via_default.paired) << "word-serial default must issue solo";
   }
-  EXPECT_GT(service.Snapshot().pair_issues, 0u)
+  EXPECT_GT(CounterOf(service.registry(), "issues.paired"), 0u)
       << "equal-length pairable overrides must co-schedule";
 }
 
-// Two jobs submitted together on a non-pairable backend execute as two
-// solo issues — and the counters must say so rather than report
-// fictitious dual-channel throughput.
-TEST(ExpServiceJobOptions, BondedPairOnNonPairableBackendCountsSoloIssues) {
+// Two jobs submitted together on a non-pairable backend never form a
+// group: each issues solo — and the counters must say so rather than
+// report fictitious dual-channel throughput.
+TEST(ExpServiceJobOptions, NonPairableJobsIssueSolo) {
   auto rng = test::TestRng();
   const BigUInt n_a = rng.OddExactBits(16);
   const BigUInt n_b = rng.OddExactBits(16);
@@ -681,9 +682,35 @@ TEST(ExpServiceJobOptions, BondedPairOnNonPairableBackendCountsSoloIssues) {
   EXPECT_EQ(result_b.value, BigUInt::ModExp(base, exponent, n_b));
   EXPECT_FALSE(result_a.paired);
   EXPECT_FALSE(result_b.paired);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.pair_issues, 0u);
-  EXPECT_EQ(counters.single_issues, 2u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "issues.paired"), 0u);
+  EXPECT_EQ(CounterOf(counters, "issues.single"), 2u);
+}
+
+// The scheduler never groups a non-pairable job, so a 2-job group on a
+// word-serial backend is a broken invariant: RunGroup reports it in
+// Outcome::error instead of quietly running the two jobs solo.
+TEST(ExecutionCore, UnpairableTwoJobGroupIsAnError) {
+  auto rng = test::TestRng();
+  obs::Registry registry;
+  ExecutionCore core("word-mont", EngineOptions{}, /*cache_capacity=*/2,
+                     /*blind_seed=*/1, &registry);
+  const ExecutionCore::JobSpec a{rng.OddExactBits(16), BigUInt{7},
+                                 BigUInt{13}, {}};
+  const ExecutionCore::JobSpec b{rng.OddExactBits(16), BigUInt{7},
+                                 BigUInt{13}, {}};
+  const std::array<const ExecutionCore::JobSpec*, 2> pair = {&a, &b};
+  const ExecutionCore::Outcome failed = core.RunGroup(pair);
+  EXPECT_NE(failed.error, nullptr);
+  EXPECT_FALSE(failed.paired);
+  EXPECT_EQ(CounterOf(registry, "engine.cycles"), 0u);
+  // Each job alone runs.
+  const std::array<const ExecutionCore::JobSpec*, 1> solo = {&a};
+  const ExecutionCore::Outcome ran = core.RunGroup(solo);
+  EXPECT_EQ(ran.error, nullptr);
+  EXPECT_EQ(ran.results.at(0).value,
+            BigUInt::ModExp(BigUInt{7}, BigUInt{13}, a.modulus));
+  EXPECT_GT(CounterOf(registry, "engine.cycles"), 0u);
 }
 
 TEST(ExpServiceJobOptions, RejectsUnknownOrMismatchedOverride) {
@@ -823,11 +850,11 @@ TEST(DeterministicExecutor, VirtualClockDrivesHoldPairAndUnpairDecisions) {
   exec.SubmitAt(30, n, base, exponent);
   exec.RunUntilIdle();
 
-  const auto counters = exec.Snapshot();
-  EXPECT_EQ(counters.jobs_completed, 4u);
-  EXPECT_EQ(exec.SchedulerStats().holds, 2u);
-  EXPECT_EQ(exec.SchedulerStats().hold_pairs, 1u);
-  EXPECT_EQ(exec.SchedulerStats().unpair_timeouts, 1u);
+  const obs::MetricsSnapshot counters = exec.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "jobs.completed"), 4u);
+  EXPECT_EQ(CounterOf(counters, "sched.holds"), 2u);
+  EXPECT_EQ(CounterOf(counters, "sched.hold_pairs"), 1u);
+  EXPECT_EQ(CounterOf(counters, "sched.unpair_timeouts"), 1u);
 
   const auto& records = exec.Records();
   ASSERT_EQ(records.size(), 4u);
@@ -869,7 +896,7 @@ TEST(DeterministicExecutor, IdleWorkersStealFromLoadedDeques) {
     futures.push_back(exec.SubmitAt(0, n, rng.Below(n), rng.Below(n)));
   }
   exec.RunUntilIdle();
-  EXPECT_GT(exec.SchedulerStats().steals, 0u);
+  EXPECT_GT(CounterOf(exec.registry(), "sched.steals"), 0u);
   bool any_stolen_record = false;
   for (const auto& record : exec.Records()) {
     any_stolen_record = any_stolen_record || record.stolen;
@@ -887,7 +914,7 @@ TEST(DeterministicExecutor, IdleWorkersStealFromLoadedDeques) {
     pinned.SubmitAt(0, n, rng.Below(n), rng.Below(n));
   }
   pinned.RunUntilIdle();
-  EXPECT_EQ(pinned.SchedulerStats().steals, 0u);
+  EXPECT_EQ(CounterOf(pinned.registry(), "sched.steals"), 0u);
   // Stealing can only help the virtual makespan.
   EXPECT_LE(exec.Now(), pinned.Now());
 }
@@ -911,14 +938,17 @@ TEST(DeterministicExecutor, ReplayFromSameTraceIsBitIdentical) {
       tick += rng.Engine().NextBelow(20'000);
     }
     exec.RunUntilIdle();
-    return std::make_tuple(exec.Records(), exec.Snapshot(), exec.Now());
+    return std::make_tuple(exec.Records(), exec.registry().Snapshot(),
+                           exec.Now());
   };
-  const auto [records_a, counters_a, makespan_a] = run();
-  const auto [records_b, counters_b, makespan_b] = run();
+  const auto [records_a, metrics_a, makespan_a] = run();
+  const auto [records_b, metrics_b, makespan_b] = run();
   EXPECT_EQ(makespan_a, makespan_b);
-  EXPECT_EQ(counters_a.pair_issues, counters_b.pair_issues);
-  EXPECT_EQ(counters_a.steals, counters_b.steals);
-  EXPECT_EQ(counters_a.unpair_timeouts, counters_b.unpair_timeouts);
+  // Every counter and gauge — jobs.*, issues.*, engine.*, sched.* — not
+  // a hand-picked few.
+  EXPECT_GT(CounterOf(metrics_a, "issues.paired"), 0u);
+  EXPECT_EQ(metrics_a.counters, metrics_b.counters);
+  EXPECT_EQ(metrics_a.gauges, metrics_b.gauges);
   ASSERT_EQ(records_a.size(), records_b.size());
   for (std::size_t j = 0; j < records_a.size(); ++j) {
     EXPECT_EQ(records_a[j].id, records_b[j].id);
@@ -975,13 +1005,14 @@ TEST(DeterministicExecutor, DeadlineCancelsHeldJobAtExactTick) {
     EXPECT_TRUE(callback_cancelled);
     EXPECT_EQ(result.stats.cancelled, 1u);
 
-    const auto counters = exec.Snapshot();
-    EXPECT_EQ(counters.jobs_submitted, 4u);
-    EXPECT_EQ(counters.deadline_exceeded, 1u);
+    const obs::MetricsSnapshot counters = exec.registry().Snapshot();
+    EXPECT_EQ(CounterOf(counters, "jobs.submitted"), 4u);
+    EXPECT_EQ(CounterOf(counters, "jobs.cancelled"), 1u);
     // Conservation: submitted == completed + deadline_exceeded.
-    EXPECT_EQ(counters.jobs_submitted,
-              counters.jobs_completed + counters.deadline_exceeded);
-    EXPECT_EQ(exec.SchedulerStats().cancelled, 1u);
+    EXPECT_EQ(CounterOf(counters, "jobs.submitted"),
+              CounterOf(counters, "jobs.completed") +
+                CounterOf(counters, "jobs.cancelled"));
+    EXPECT_EQ(CounterOf(counters, "sched.cancelled"), 1u);
 
     const auto& records = exec.Records();
     EXPECT_EQ(records.size(), 4u);
@@ -1027,10 +1058,11 @@ TEST(DeterministicExecutor, ExpiredDeadlineCancelsBeforeDispatch) {
   exec.RunUntilIdle();
   EXPECT_TRUE(doomed.get().cancelled);
   EXPECT_FALSE(live.get().cancelled);
-  const auto counters = exec.Snapshot();
-  EXPECT_EQ(counters.deadline_exceeded, 1u);
-  EXPECT_EQ(counters.jobs_submitted,
-            counters.jobs_completed + counters.deadline_exceeded);
+  const obs::MetricsSnapshot counters = exec.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "jobs.cancelled"), 1u);
+  EXPECT_EQ(CounterOf(counters, "jobs.submitted"),
+            CounterOf(counters, "jobs.completed") +
+                CounterOf(counters, "jobs.cancelled"));
 }
 
 // Threaded service: the same deadline contract (claim-time cancellation,
@@ -1055,11 +1087,12 @@ TEST(ExpService, DeadlineCancelledJobResolvesTypedAndConserves) {
   EXPECT_TRUE(doomed.get().cancelled);
   EXPECT_TRUE(callback_cancelled);
   EXPECT_FALSE(live.get().cancelled);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.jobs_submitted, 2u);
-  EXPECT_EQ(counters.deadline_exceeded, 1u);
-  EXPECT_EQ(counters.jobs_submitted,
-            counters.jobs_completed + counters.deadline_exceeded);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "jobs.submitted"), 2u);
+  EXPECT_EQ(CounterOf(counters, "jobs.cancelled"), 1u);
+  EXPECT_EQ(CounterOf(counters, "jobs.submitted"),
+            CounterOf(counters, "jobs.completed") +
+                CounterOf(counters, "jobs.cancelled"));
 }
 
 // The acceptance scenario in the small: on sparse same-key traffic that
@@ -1087,9 +1120,9 @@ TEST(DeterministicExecutor, StealingSchedulerBeatsSharedQueueOnSparseTraffic) {
     exec.SubmitAt(static_cast<std::uint64_t>(j) * gap, n, base, exponent);
   }
   exec.RunUntilIdle();
-  const auto counters = exec.Snapshot();
-  EXPECT_EQ(counters.jobs_completed, kJobs);
-  EXPECT_GT(counters.pair_issues, 0u);
+  const obs::MetricsSnapshot counters = exec.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "jobs.completed"), kJobs);
+  EXPECT_GT(CounterOf(counters, "issues.paired"), 0u);
   const std::uint64_t busy = BusyCycles(exec.Records());
   const std::uint64_t all_solo = kJobs * solo_ticks;
   ASSERT_GT(busy, 0u);
@@ -1142,7 +1175,7 @@ TEST_P(CompletionContract, ThrowingCallbackAndExpiredDeadline) {
     doomed_seen = result;
   };
 
-  ExpService::Counters counters;
+  obs::MetricsSnapshot counters;
   std::uint64_t other_jobs = 0;
   ExpService::Options options;
   options.workers = 1;
@@ -1161,7 +1194,7 @@ TEST_P(CompletionContract, ThrowingCallbackAndExpiredDeadline) {
     doomed = service.Submit(n, base_a, exponent_a, expired, doomed_callback);
     open.set_value();
     service.Wait();
-    counters = service.Snapshot();
+    counters = service.registry().Snapshot();
   } else {
     DeterministicExecutor exec(options);
     // A first job occupies the one worker, so the next two submits (at
@@ -1176,7 +1209,7 @@ TEST_P(CompletionContract, ThrowingCallbackAndExpiredDeadline) {
     doomed = exec.SubmitAt(10, n, base_a, exponent_a, expired,
                            doomed_callback);
     exec.RunUntilIdle();
-    counters = exec.Snapshot();
+    counters = exec.registry().Snapshot();
   }
 
   EXPECT_TRUE(first_called);
@@ -1197,10 +1230,11 @@ TEST_P(CompletionContract, ThrowingCallbackAndExpiredDeadline) {
   EXPECT_EQ(doomed_seen.stats.cancelled, 1u);
   EXPECT_EQ(doomed_seen.value, cancelled.value);
 
-  EXPECT_EQ(counters.deadline_exceeded, 1u);
-  EXPECT_EQ(counters.jobs_completed, 2u + other_jobs);
-  EXPECT_EQ(counters.jobs_submitted,
-            counters.jobs_completed + counters.deadline_exceeded);
+  EXPECT_EQ(CounterOf(counters, "jobs.cancelled"), 1u);
+  EXPECT_EQ(CounterOf(counters, "jobs.completed"), 2u + other_jobs);
+  EXPECT_EQ(CounterOf(counters, "jobs.submitted"),
+            CounterOf(counters, "jobs.completed") +
+                CounterOf(counters, "jobs.cancelled"));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1321,15 +1355,19 @@ TEST(ExpService, BurstyMultiTenantStressMatchesOracles) {
 
   // Counter truthfulness: conservation across issue modes and the hold
   // ledger balancing out once the pool is drained.
-  const auto counters = service.Snapshot();
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
   const std::uint64_t total =
       kTenants * kBursts * kBurstJobs + 2 * 2 * messages.size();
-  EXPECT_EQ(counters.jobs_submitted, total);
-  EXPECT_EQ(counters.jobs_completed, total);
-  EXPECT_EQ(2 * counters.pair_issues + counters.single_issues, total);
-  EXPECT_EQ(counters.holds, counters.hold_pairs + counters.unpair_timeouts);
-  EXPECT_GT(counters.pair_issues, 0u);
-  EXPECT_GT(counters.engine_cache_hits, 0u);
+  EXPECT_EQ(CounterOf(counters, "jobs.submitted"), total);
+  EXPECT_EQ(CounterOf(counters, "jobs.completed"), total);
+  EXPECT_EQ(2 * CounterOf(counters, "issues.paired") +
+                CounterOf(counters, "issues.single"),
+            total);
+  EXPECT_EQ(CounterOf(counters, "sched.holds"),
+            CounterOf(counters, "sched.hold_pairs") +
+                CounterOf(counters, "sched.unpair_timeouts"));
+  EXPECT_GT(CounterOf(counters, "issues.paired"), 0u);
+  EXPECT_GT(CounterOf(counters, "engine.cache_hits"), 0u);
 }
 
 // Regression for the shutdown drain: destroying the service with jobs

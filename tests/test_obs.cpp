@@ -10,11 +10,14 @@
 //   * two deterministic-executor replays of the same seed export
 //     byte-identical chrome://tracing JSON — the replay contract;
 //   * conservation invariants and the STATS wire verb answer from the
-//     same snapshot.
+//     same snapshot;
+//   * every serving-stack counter is registered at construction, and the
+//     tests' strict lookup fails on a name nothing registered.
 //
 // The chaos case at the bottom doubles as the CI trace artifact: it
 // writes `chaos_seeded.trace.json` into the test working directory,
 // which the CI workflow uploads for loading in ui.perfetto.dev.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,6 +36,7 @@
 #include "server/keystore.hpp"
 #include "server/signing_service.hpp"
 #include "server/wire.hpp"
+#include "testutil.hpp"
 
 namespace mont::obs {
 namespace {
@@ -130,6 +134,21 @@ TEST(RegistryTest, DefaultHandlesAreNoOpSinks) {
   histogram.Record(42);
   EXPECT_EQ(counter.Value(), 0u);
   EXPECT_EQ(gauge.Value(), 0);
+}
+
+// The tests' strict lookup: CounterValue reads an unregistered name as 0,
+// CounterOf fails the test instead.
+TEST(RegistryTest, StrictLookupFailsOnUnregisteredName) {
+  Registry registry;
+  registry.GetCounter("server.bad_signatures_released");
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.CounterValue("server.bad_signatures_releasd"), 0u);
+  EXPECT_NONFATAL_FAILURE(
+      test::CounterOf(snapshot, "server.bad_signatures_releasd"),
+      "not registered");
+  EXPECT_NONFATAL_FAILURE(test::GaugeOf(snapshot, "sched.max_batch"),
+                          "not registered");
+  EXPECT_EQ(test::CounterOf(snapshot, "server.bad_signatures_released"), 0u);
 }
 
 TEST(RegistryTest, StripedCounterMergesExactlyAcrossThreads) {
@@ -274,7 +293,7 @@ TEST(DeterministicReplay, TwoReplaysExportByteIdenticalTraces) {
 }
 
 // ---------------------------------------------------------------------------
-// STATS wire verb + the CI chaos trace artifact
+// STATS wire verb, registered names, and the CI chaos trace artifact
 // ---------------------------------------------------------------------------
 
 const crypto::RsaKeyPair& TestKey() {
@@ -317,13 +336,55 @@ TEST(StatsVerb, RoundTripsMergedRegistrySnapshot) {
   // both present.
   EXPECT_NE(json.find("\"server.ok\":1"), std::string::npos);
   EXPECT_NE(json.find("\"jobs.completed\""), std::string::npos);
-  EXPECT_EQ(service.Snapshot().stats_requests, 1u);
+  EXPECT_EQ(test::CounterOf(service.registry(), "server.stats_requests"), 1u);
   // Conservation laws only hold on a quiescent snapshot: the sync
   // response can arrive a hair before the worker bumps jobs.completed.
   service.Wait();
   EXPECT_TRUE(service.registry()
-                  .CheckInvariants(service.StatsSnapshot())
+                  .CheckInvariants(service.registry().Snapshot())
                   .empty());
+}
+
+/// Every counter the serving stack publishes.
+constexpr const char* kServingCounters[] = {
+    // The exponentiation service.
+    "jobs.submitted", "jobs.completed", "jobs.cancelled", "issues.paired",
+    "issues.single", "engine.cache_hits", "engine.cache_misses",
+    "engine.cache_evictions",
+    // Its scheduler (plus the gauge sched.max_batch_claimed).
+    "sched.dispatched_groups", "sched.pairs_formed", "sched.holds",
+    "sched.hold_pairs", "sched.unpair_timeouts", "sched.steals",
+    "sched.batch_acquires", "sched.cancelled",
+    // The signing front-end.
+    "server.requests", "server.pings", "server.stats_requests",
+    "server.admitted", "server.ok", "server.rejected_backpressure",
+    "server.shed_overload", "server.deadline_exceeded",
+    "server.retry_exhausted", "server.shutdown_refused", "server.malformed",
+    "server.unknown_tenant", "server.unknown_key", "server.faults_caught",
+    "server.internal_retries", "server.bad_signatures_released",
+    // The chaos harness, on the service's registry.
+    "chaos.worker_stalls", "chaos.crt_corruptions", "chaos.requests_dropped",
+    "chaos.responses_dropped", "chaos.frames_garbled"};
+
+// STATS consumers see every counter from the first request on, at 0 if
+// nothing has happened yet: each name is registered at construction,
+// not on first use.
+TEST(StatsVerb, EveryCounterIsRegisteredBeforeAnyTraffic) {
+  Registry registry;
+  server::ChaosLayer chaos(server::ChaosOptions{}, &registry);
+  server::Keystore keystore;
+  keystore.AddTenant(1, {});
+  keystore.AddKey(1, 1, TestKey());
+  server::SigningService::Options options;
+  options.service.registry = &registry;
+  options.chaos = &chaos;
+  server::SigningService service(std::move(keystore), options);
+
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  for (const char* name : kServingCounters) {
+    EXPECT_EQ(test::CounterOf(snapshot, name), 0u) << name;
+  }
+  EXPECT_EQ(test::GaugeOf(snapshot, "sched.max_batch_claimed"), 0);
 }
 
 TEST(ChaosTrace, SeededChaosRunWritesPerfettoArtifact) {
@@ -363,7 +424,7 @@ TEST(ChaosTrace, SeededChaosRunWritesPerfettoArtifact) {
   // The chaos run's fault handling shows up in the trace: every caught
   // fault emitted a bellcore.fault event.
   const std::string json = tracer.ExportChromeJson();
-  if (service.Snapshot().faults_caught > 0) {
+  if (test::CounterOf(service.registry(), "server.faults_caught") > 0) {
     EXPECT_NE(json.find("\"name\":\"bellcore.fault\""), std::string::npos);
   }
 }

@@ -15,6 +15,9 @@
 namespace mont::core {
 namespace {
 
+using test::CounterOf;
+using test::GaugeOf;
+
 // ---------------------------------------------------------------------------
 // Clock sources
 // ---------------------------------------------------------------------------
@@ -41,10 +44,12 @@ TEST(ClockSource, SteadyClockIsMonotone) {
 // StealScheduler (v2: per-worker deques, stealing, hold/unpair, batching)
 // ---------------------------------------------------------------------------
 
-StealScheduler::Config TwoWorkerConfig() {
+/// `registry` receives the sched.* counters the test reads.
+StealScheduler::Config TwoWorkerConfig(obs::Registry* registry = nullptr) {
   StealScheduler::Config config;
   config.workers = 2;
   config.unpair_timeout = 100;
+  config.registry = registry;
   return config;
 }
 
@@ -63,7 +68,8 @@ TEST(StealScheduler, SoloSubmitOnIdlePoolDispatchesImmediately) {
 }
 
 TEST(StealScheduler, OpenSoloGroupUpgradesToPairInPlace) {
-  StealScheduler sched(TwoWorkerConfig());
+  obs::Registry registry;
+  StealScheduler sched(TwoWorkerConfig(&registry));
   sched.Submit(1, 7, true, 0);
   sched.Submit(2, 7, true, 10);  // joins id 1's un-acquired solo group
   auto issue = sched.Acquire(0, 10);
@@ -71,13 +77,14 @@ TEST(StealScheduler, OpenSoloGroupUpgradesToPairInPlace) {
   EXPECT_EQ(issue->count, 2u);
   EXPECT_EQ(issue->ids[0], 1u);
   EXPECT_EQ(issue->ids[1], 2u);
-  EXPECT_EQ(sched.GetStats().pairs_formed, 1u);
+  EXPECT_EQ(CounterOf(registry, "sched.pairs_formed"), 1u);
   sched.OnGroupDone();
   EXPECT_TRUE(sched.Idle());
 }
 
 TEST(StealScheduler, HotKeyHoldsForPartnerWhilePoolBusy) {
-  StealScheduler sched(TwoWorkerConfig());
+  obs::Registry registry;
+  StealScheduler sched(TwoWorkerConfig(&registry));
   // Establish a hot gap on key 7, then keep the pool busy so the next
   // lone arrival is worth holding.
   sched.Submit(1, 7, true, 0);
@@ -86,7 +93,7 @@ TEST(StealScheduler, HotKeyHoldsForPartnerWhilePoolBusy) {
   ASSERT_TRUE(pair.has_value());  // in flight: pool is busy
   sched.Submit(3, 7, true, 20);
   EXPECT_EQ(sched.HeldJobs(), 1u);
-  EXPECT_EQ(sched.GetStats().holds, 1u);
+  EXPECT_EQ(CounterOf(registry, "sched.holds"), 1u);
   ASSERT_TRUE(sched.NextHoldDeadline().has_value());
   EXPECT_EQ(*sched.NextHoldDeadline(), 120u);
   // Held jobs are invisible to Acquire before their deadline.
@@ -99,14 +106,15 @@ TEST(StealScheduler, HotKeyHoldsForPartnerWhilePoolBusy) {
   EXPECT_EQ(held_pair->count, 2u);
   EXPECT_EQ(held_pair->ids[0], 3u);
   EXPECT_EQ(held_pair->ids[1], 4u);
-  EXPECT_EQ(sched.GetStats().hold_pairs, 1u);
+  EXPECT_EQ(CounterOf(registry, "sched.hold_pairs"), 1u);
   sched.OnGroupDone();
   sched.OnGroupDone();
   EXPECT_TRUE(sched.Idle());
 }
 
 TEST(StealScheduler, AgeTimeoutReleasesHeldJobSolo) {
-  StealScheduler sched(TwoWorkerConfig());
+  obs::Registry registry;
+  StealScheduler sched(TwoWorkerConfig(&registry));
   sched.Submit(1, 7, true, 0);
   sched.Submit(2, 7, true, 10);
   auto pair = sched.Acquire(0, 10);
@@ -121,14 +129,15 @@ TEST(StealScheduler, AgeTimeoutReleasesHeldJobSolo) {
   EXPECT_EQ(solo->count, 1u);
   EXPECT_EQ(solo->ids[0], 3u);
   EXPECT_TRUE(solo->unpaired_by_timeout);
-  EXPECT_EQ(sched.GetStats().unpair_timeouts, 1u);
+  EXPECT_EQ(CounterOf(registry, "sched.unpair_timeouts"), 1u);
   sched.OnGroupDone();
   sched.OnGroupDone();
   EXPECT_TRUE(sched.Idle());
 }
 
 TEST(StealScheduler, StealTakesVictimsOldestGroupInRingOrder) {
-  StealScheduler::Config config = TwoWorkerConfig();
+  obs::Registry registry;
+  StealScheduler::Config config = TwoWorkerConfig(&registry);
   config.workers = 3;
   StealScheduler sched(config);
   // Distinct non-pairable jobs spread across deques (least-loaded with
@@ -146,7 +155,7 @@ TEST(StealScheduler, StealTakesVictimsOldestGroupInRingOrder) {
   ASSERT_TRUE(stolen.has_value());
   EXPECT_TRUE(stolen->stolen);
   EXPECT_EQ(stolen->ids[0], 3u);
-  EXPECT_EQ(sched.GetStats().steals, 1u);
+  EXPECT_EQ(CounterOf(registry, "sched.steals"), 1u);
   // With stealing disabled an empty own deque means no work.
   StealScheduler::Config no_steal = config;
   no_steal.work_stealing = false;
@@ -156,7 +165,8 @@ TEST(StealScheduler, StealTakesVictimsOldestGroupInRingOrder) {
 }
 
 TEST(StealScheduler, AdaptiveBatchScalesWithBacklogAndCapsAtMaxBatch) {
-  StealScheduler::Config config = TwoWorkerConfig();
+  obs::Registry registry;
+  StealScheduler::Config config = TwoWorkerConfig(&registry);
   config.max_batch = 4;
   StealScheduler sched(config);
   // Backlog of 12 non-pairable groups over 2 workers: target is
@@ -167,8 +177,9 @@ TEST(StealScheduler, AdaptiveBatchScalesWithBacklogAndCapsAtMaxBatch) {
   std::vector<StealScheduler::Issue> issues;
   EXPECT_EQ(sched.AcquireBatch(0, 0, &issues), 4u);
   EXPECT_EQ(issues.size(), 4u);
-  EXPECT_EQ(sched.GetStats().batch_acquires, 1u);
-  EXPECT_EQ(sched.GetStats().max_batch_claimed, 4u);
+  const obs::MetricsSnapshot metrics = registry.Snapshot();
+  EXPECT_EQ(CounterOf(metrics, "sched.batch_acquires"), 1u);
+  EXPECT_EQ(GaugeOf(metrics, "sched.max_batch_claimed"), 4);
   // A near-empty pool claims exactly one (never zero while work exists).
   for (int i = 0; i < 4; ++i) sched.OnGroupDone();
   issues.clear();
@@ -194,6 +205,8 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
     config.unpair_timeout = 50 + rng.Engine().NextBelow(200);
     config.max_batch = 1 + rng.Engine().NextBelow(8);
     config.work_stealing = rng.Engine().NextBelow(4) != 0;
+    obs::Registry registry;
+    config.registry = &registry;
     StealScheduler sched(config);
 
     std::map<std::uint64_t, std::uint64_t> key_of;       // reference model
@@ -293,7 +306,7 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
     // Counter conservation: every submitted job either issued or was
     // cancelled — nothing lost, nothing duplicated.
     ASSERT_EQ(issued.size() + cancelled_total, key_of.size());
-    ASSERT_EQ(sched.GetStats().cancelled, cancelled_total);
+    ASSERT_EQ(CounterOf(registry, "sched.cancelled"), cancelled_total);
     while (in_flight > 0) {
       sched.OnGroupDone();
       --in_flight;
@@ -309,14 +322,13 @@ TEST(StealScheduler, RandomizedModelConservationAndNoStarvation) {
 
 TEST(LruCache, EvictsLeastRecentlyUsed) {
   LruCache<int, int> cache(2);
-  cache.Put(1, 100);
-  cache.Put(2, 200);
+  EXPECT_FALSE(cache.Put(1, 100));
+  EXPECT_FALSE(cache.Put(2, 200));
   ASSERT_NE(cache.Get(1), nullptr);  // refresh 1: now 2 is the coldest
-  cache.Put(3, 300);
+  EXPECT_TRUE(cache.Put(3, 300));    // Put reports the eviction
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_TRUE(cache.Contains(3));
-  EXPECT_EQ(cache.Evictions(), 1u);
   EXPECT_EQ(*cache.Get(1), 100);
   EXPECT_EQ(cache.Get(2), nullptr);
 }
@@ -325,27 +337,27 @@ TEST(LruCache, PutRefreshesAndReplacesInPlace) {
   LruCache<int, int> cache(2);
   cache.Put(1, 100);
   cache.Put(2, 200);
-  cache.Put(1, 111);  // replace refreshes recency, no eviction
+  // Replacing refreshes recency and evicts nothing.
+  EXPECT_FALSE(cache.Put(1, 111));
   EXPECT_EQ(cache.Size(), 2u);
-  EXPECT_EQ(cache.Evictions(), 0u);
-  cache.Put(3, 300);  // now 2 is the coldest
+  EXPECT_TRUE(cache.Put(3, 300));  // now 2 is the coldest
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_EQ(*cache.Get(1), 111);
 }
 
-TEST(LruCache, CountsHitsAndMisses) {
+// Hit/miss counting lives in the service's engine.cache_* counters
+// (ExpService.EngineCacheReusesHotModulus); the cache only answers.
+TEST(LruCache, GetFindsOnlyWhatWasPut) {
   LruCache<int, int> cache(4);
   EXPECT_EQ(cache.Get(9), nullptr);
   cache.Put(9, 90);
-  EXPECT_NE(cache.Get(9), nullptr);
-  EXPECT_NE(cache.Get(9), nullptr);
-  EXPECT_EQ(cache.Hits(), 2u);
-  EXPECT_EQ(cache.Misses(), 1u);
+  ASSERT_NE(cache.Get(9), nullptr);
+  EXPECT_EQ(*cache.Get(9), 90);
 }
 
 TEST(LruCache, ZeroCapacityNeverStores) {
   LruCache<int, int> cache(0);
-  cache.Put(1, 100);
+  EXPECT_FALSE(cache.Put(1, 100));
   EXPECT_EQ(cache.Size(), 0u);
   EXPECT_EQ(cache.Get(1), nullptr);
 }
@@ -375,8 +387,9 @@ TEST(LruCache, RandomizedMatchesReferenceModel) {
     } else {
       const bool present =
           std::find(recency.begin(), recency.end(), key) != recency.end();
-      if (!present && recency.size() == kCapacity) recency.pop_back();
-      cache.Put(key, key * 10);
+      const bool evicts = !present && recency.size() == kCapacity;
+      if (evicts) recency.pop_back();
+      EXPECT_EQ(cache.Put(key, key * 10), evicts) << "step " << step;
       touch(key);
     }
     ASSERT_EQ(cache.Size(), recency.size()) << "step " << step;

@@ -31,6 +31,7 @@ namespace mont::server {
 namespace {
 
 using bignum::BigUInt;
+using test::CounterOf;
 
 std::vector<std::uint8_t> Bytes(const std::string& s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
@@ -384,10 +385,10 @@ TEST(SigningServiceTest, EndToEndSignatureVerifies) {
   const BigUInt signature = BigUInt::FromBytesBE(response.payload);
   EXPECT_TRUE(
       crypto::RsaVerifyPkcs1V15(TestKey(), request.message, signature));
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.admitted, 1u);
-  EXPECT_EQ(counters.ok, 1u);
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "server.admitted"), 1u);
+  EXPECT_EQ(CounterOf(counters, "server.ok"), 1u);
+  EXPECT_EQ(CounterOf(counters, "server.bad_signatures_released"), 0u);
 }
 
 TEST(SigningServiceTest, PingAndLookupTaxonomy) {
@@ -407,12 +408,12 @@ TEST(SigningServiceTest, PingAndLookupTaxonomy) {
             StatusCode::kUnknownKey);
   EXPECT_EQ(service.HandleRequestSync(Bytes("garbage")).status,
             StatusCode::kMalformedRequest);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.pings, 1u);
-  EXPECT_EQ(counters.unknown_tenant, 1u);
-  EXPECT_EQ(counters.unknown_key, 1u);
-  EXPECT_EQ(counters.malformed, 1u);
-  EXPECT_EQ(counters.admitted, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "server.pings"), 1u);
+  EXPECT_EQ(CounterOf(counters, "server.unknown_tenant"), 1u);
+  EXPECT_EQ(CounterOf(counters, "server.unknown_key"), 1u);
+  EXPECT_EQ(CounterOf(counters, "server.malformed"), 1u);
+  EXPECT_EQ(CounterOf(counters, "server.admitted"), 0u);
 }
 
 TEST(SigningServiceTest, ExhaustedTokenBucketGivesTypedBackpressure) {
@@ -426,9 +427,9 @@ TEST(SigningServiceTest, ExhaustedTokenBucketGivesTypedBackpressure) {
   const auto refused =
       service.HandleRequestSync(EncodeSignRequest(MakeRequest("b")));
   EXPECT_EQ(refused.status, StatusCode::kRejectedBackpressure);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.rejected_backpressure, 1u);
-  EXPECT_EQ(counters.ok, 1u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "server.rejected_backpressure"), 1u);
+  EXPECT_EQ(CounterOf(counters, "server.ok"), 1u);
 }
 
 TEST(SigningServiceTest, ExpiredDeadlineIsTypedAndConserved) {
@@ -439,15 +440,14 @@ TEST(SigningServiceTest, ExpiredDeadlineIsTypedAndConserved) {
       EncodeSignRequest(MakeRequest("too slow", /*deadline_ticks=*/1)));
   EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
   service.Wait();
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.deadline_exceeded, 1u);
-  EXPECT_EQ(counters.ok, 0u);
+  const obs::MetricsSnapshot counters = service.registry().Snapshot();
+  EXPECT_EQ(CounterOf(counters, "server.deadline_exceeded"), 1u);
+  EXPECT_EQ(CounterOf(counters, "server.ok"), 0u);
   // The conservation contract holds all the way down: every ExpService
   // job either completed or was deadline-cancelled.
-  const auto service_counters = service.ServiceSnapshot();
-  EXPECT_EQ(service_counters.jobs_submitted,
-            service_counters.jobs_completed +
-                service_counters.deadline_exceeded);
+  EXPECT_EQ(CounterOf(counters, "jobs.submitted"),
+            CounterOf(counters, "jobs.completed") +
+                CounterOf(counters, "jobs.cancelled"));
 }
 
 TEST(SigningServiceTest, OverloadShedsByPriorityWithTypedError) {
@@ -503,7 +503,7 @@ TEST(SigningServiceTest, OverloadShedsByPriorityWithTypedError) {
   EXPECT_TRUE(answered_inline);
   EXPECT_EQ(victim_response.get().status, StatusCode::kShedOverload);
   service.Wait();
-  EXPECT_EQ(service.Snapshot().shed_overload, 1u);
+  EXPECT_EQ(CounterOf(service.registry(), "server.shed_overload"), 1u);
   EXPECT_EQ(done.load(), 4);
 }
 
@@ -517,7 +517,7 @@ TEST(SigningServiceTest, OversizeFrameRejectedAtTransport) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, StatusCode::kFrameTooLarge);
   // It never reached the service.
-  EXPECT_EQ(service.Snapshot().requests, 0u);
+  EXPECT_EQ(CounterOf(service.registry(), "server.requests"), 0u);
 }
 
 TEST(SigningServiceTest, ClientSignsThroughFullWirePath) {
@@ -597,8 +597,9 @@ TEST(SigningServiceTest, BurstSignaturesMatchPlainOracleAndPairHalves) {
         << "request " << i;
   }
   service.Wait();
-  EXPECT_GT(service.StatsSnapshot().CounterValue("issues.paired"), 0u);
-  EXPECT_EQ(service.Snapshot().ok, static_cast<std::uint64_t>(kRequests));
+  EXPECT_GT(CounterOf(service.registry(), "issues.paired"), 0u);
+  EXPECT_EQ(CounterOf(service.registry(), "server.ok"),
+            static_cast<std::uint64_t>(kRequests));
 }
 
 TEST(SigningServiceTest, DestructorDrainsInFlightRequests) {

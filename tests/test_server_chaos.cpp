@@ -35,6 +35,7 @@ namespace mont::server {
 namespace {
 
 using bignum::BigUInt;
+using test::CounterOf;
 
 const crypto::RsaKeyPair& TestKey() {
   static const crypto::RsaKeyPair key = [] {
@@ -75,12 +76,16 @@ TEST(ChaosSuite, InjectedCrtFaultIsCaughtRetriedAndNeverReleased) {
   // Corrupt roughly a third of recombinations: most requests see a clean
   // retry, some see several faults in a row.
   chaos_options.corrupt_crt_rate = 0.35;
-  ChaosLayer chaos(chaos_options);
+  // One registry for the layer and the service: one snapshot holds both
+  // chaos.* and server.*.
+  obs::Registry registry;
+  ChaosLayer chaos(chaos_options, &registry);
 
   Keystore keystore;
   keystore.AddTenant(1, {});
   keystore.AddKey(1, 1, TestKey());
   SigningService::Options options;
+  options.service.registry = &registry;
   options.chaos = &chaos;
   options.max_internal_retries = 4;
   SigningService service(std::move(keystore), options);
@@ -103,14 +108,16 @@ TEST(ChaosSuite, InjectedCrtFaultIsCaughtRetriedAndNeverReleased) {
       ++exhausted;
     }
   }
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
+  const obs::MetricsSnapshot metrics = registry.Snapshot();
+  EXPECT_EQ(CounterOf(metrics, "server.bad_signatures_released"), 0u);
   // The injection actually fired, the gate actually caught.
-  EXPECT_GT(counters.faults_caught, 0u);
-  EXPECT_EQ(counters.faults_caught, chaos.Snapshot().crt_corruptions);
-  EXPECT_GT(counters.internal_retries, 0u);
-  EXPECT_EQ(counters.ok, static_cast<std::uint64_t>(ok));
-  EXPECT_EQ(counters.retry_exhausted, static_cast<std::uint64_t>(exhausted));
+  EXPECT_GT(CounterOf(metrics, "server.faults_caught"), 0u);
+  EXPECT_EQ(CounterOf(metrics, "server.faults_caught"),
+            CounterOf(metrics, "chaos.crt_corruptions"));
+  EXPECT_GT(CounterOf(metrics, "server.internal_retries"), 0u);
+  EXPECT_EQ(CounterOf(metrics, "server.ok"), static_cast<std::uint64_t>(ok));
+  EXPECT_EQ(CounterOf(metrics, "server.retry_exhausted"),
+            static_cast<std::uint64_t>(exhausted));
   // With rate 0.35 and 4 retries, most requests must still succeed.
   EXPECT_GT(ok, exhausted);
 }
@@ -118,11 +125,13 @@ TEST(ChaosSuite, InjectedCrtFaultIsCaughtRetriedAndNeverReleased) {
 TEST(ChaosSuite, CertainFaultExhaustsRetriesWithTypedErrorOnly) {
   ChaosOptions chaos_options;
   chaos_options.corrupt_crt_rate = 1.0;  // every recombination corrupted
-  ChaosLayer chaos(chaos_options);
+  obs::Registry registry;
+  ChaosLayer chaos(chaos_options, &registry);
   Keystore keystore;
   keystore.AddTenant(1, {});
   keystore.AddKey(1, 1, TestKey());
   SigningService::Options options;
+  options.service.registry = &registry;
   options.chaos = &chaos;
   options.max_internal_retries = 2;
   SigningService service(std::move(keystore), options);
@@ -130,11 +139,13 @@ TEST(ChaosSuite, CertainFaultExhaustsRetriesWithTypedErrorOnly) {
   const auto response = service.HandleRequestSync(
       EncodeSignRequest(MakeRequest(1, "doomed")));
   EXPECT_EQ(response.status, StatusCode::kInternalRetrying);
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.faults_caught, 3u);  // initial attempt + 2 retries
-  EXPECT_EQ(counters.internal_retries, 2u);
-  EXPECT_EQ(counters.ok, 0u);
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
+  const obs::MetricsSnapshot metrics = registry.Snapshot();
+  // initial attempt + 2 retries
+  EXPECT_EQ(CounterOf(metrics, "server.faults_caught"), 3u);
+  EXPECT_EQ(CounterOf(metrics, "chaos.crt_corruptions"), 3u);
+  EXPECT_EQ(CounterOf(metrics, "server.internal_retries"), 2u);
+  EXPECT_EQ(CounterOf(metrics, "server.ok"), 0u);
+  EXPECT_EQ(CounterOf(metrics, "server.bad_signatures_released"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,7 +157,8 @@ TEST(ChaosSuite, StalledWorkerAndFloodingTenantDoNotStarveHealthyTenant) {
   ChaosOptions chaos_options;
   chaos_options.stall_worker = 0;       // 1 of 4 workers sleeps per group
   chaos_options.stall_micros = 3'000;
-  ChaosLayer chaos(chaos_options);
+  obs::Registry registry;
+  ChaosLayer chaos(chaos_options, &registry);
 
   Keystore keystore;
   TenantConfig flooder;
@@ -169,6 +181,7 @@ TEST(ChaosSuite, StalledWorkerAndFloodingTenantDoNotStarveHealthyTenant) {
   // keeps every worker busy and the stalled worker 0 is handed groups; on
   // the kernel-backed default the awake workers drain the queue first.
   options.service.engine_name = "alg2-ref";
+  options.service.registry = &registry;
   options.chaos = &chaos;
   options.admission.queue_high_watermark = 16;
   SigningService service(std::move(keystore), options);
@@ -212,17 +225,16 @@ TEST(ChaosSuite, StalledWorkerAndFloodingTenantDoNotStarveHealthyTenant) {
   // No request hangs, none lost, all typed.
   EXPECT_EQ(flood_responses.load(), 32);
   EXPECT_EQ(flood_untyped.load(), 0);
+  const obs::MetricsSnapshot metrics = registry.Snapshot();
   // The stall was real (work stealing routed around it).
-  EXPECT_GT(chaos.Snapshot().worker_stalls, 0u);
+  EXPECT_GT(CounterOf(metrics, "chaos.worker_stalls"), 0u);
   // The flood's tiny budget produced typed backpressure.
-  const auto counters = service.Snapshot();
-  EXPECT_GT(counters.rejected_backpressure, 0u);
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
+  EXPECT_GT(CounterOf(metrics, "server.rejected_backpressure"), 0u);
+  EXPECT_EQ(CounterOf(metrics, "server.bad_signatures_released"), 0u);
   // ExpService-level conservation held under chaos.
-  const auto service_counters = service.ServiceSnapshot();
-  EXPECT_EQ(service_counters.jobs_submitted,
-            service_counters.jobs_completed +
-                service_counters.deadline_exceeded);
+  EXPECT_EQ(CounterOf(metrics, "jobs.submitted"),
+            CounterOf(metrics, "jobs.completed") +
+                CounterOf(metrics, "jobs.cancelled"));
 }
 
 // ---------------------------------------------------------------------------
@@ -234,12 +246,15 @@ TEST(ChaosSuite, DroppedAndGarbledFramesAreSurvivedByRetryingClient) {
   chaos_options.drop_request_rate = 0.15;
   chaos_options.drop_response_rate = 0.10;
   chaos_options.garble_frame_rate = 0.15;
-  ChaosLayer chaos(chaos_options);
+  obs::Registry registry;
+  ChaosLayer chaos(chaos_options, &registry);
 
   Keystore keystore;
   keystore.AddTenant(1, {});
   keystore.AddKey(1, 1, TestKey());
-  SigningService service(std::move(keystore));
+  SigningService::Options options;
+  options.service.registry = &registry;
+  SigningService service(std::move(keystore), options);
   InProcTransport transport(service, &chaos);
   RetryPolicy policy;
   policy.max_attempts = 8;
@@ -264,15 +279,16 @@ TEST(ChaosSuite, DroppedAndGarbledFramesAreSurvivedByRetryingClient) {
           << StatusCodeName(outcome.status);
     }
   }
-  // The chaos fired...
-  const auto chaos_counters = chaos.Snapshot();
-  EXPECT_GT(chaos_counters.requests_dropped + chaos_counters.frames_garbled +
-                chaos_counters.responses_dropped,
-            0u);
   // ...and the client still got most signatures through.
   EXPECT_GT(ok, 10);
   service.Wait();
-  EXPECT_EQ(service.Snapshot().bad_signatures_released, 0u);
+  const obs::MetricsSnapshot metrics = registry.Snapshot();
+  // The chaos fired...
+  EXPECT_GT(CounterOf(metrics, "chaos.requests_dropped") +
+                CounterOf(metrics, "chaos.frames_garbled") +
+                CounterOf(metrics, "chaos.responses_dropped"),
+            0u);
+  EXPECT_EQ(CounterOf(metrics, "server.bad_signatures_released"), 0u);
 }
 
 TEST(ChaosSuite, SlowTenantDelaysOnlyItsOwnCalls) {
@@ -295,13 +311,15 @@ TEST(ChaosSuite, CombinedChaosReleasesOnlyVerifiedSignatures) {
   chaos_options.corrupt_crt_rate = 0.4;
   chaos_options.drop_request_rate = 0.1;
   chaos_options.garble_frame_rate = 0.1;
-  ChaosLayer chaos(chaos_options);
+  obs::Registry registry;
+  ChaosLayer chaos(chaos_options, &registry);
 
   Keystore keystore;
   keystore.AddTenant(1, {});
   keystore.AddKey(1, 1, TestKey());
   SigningService::Options options;
   options.service.workers = 2;
+  options.service.registry = &registry;
   options.chaos = &chaos;
   options.max_internal_retries = 4;
   SigningService service(std::move(keystore), options);
@@ -323,12 +341,11 @@ TEST(ChaosSuite, CombinedChaosReleasesOnlyVerifiedSignatures) {
   }
   EXPECT_GT(ok, 0);
   service.Wait();
-  const auto counters = service.Snapshot();
-  EXPECT_EQ(counters.bad_signatures_released, 0u);
-  const auto service_counters = service.ServiceSnapshot();
-  EXPECT_EQ(service_counters.jobs_submitted,
-            service_counters.jobs_completed +
-                service_counters.deadline_exceeded);
+  const obs::MetricsSnapshot metrics = registry.Snapshot();
+  EXPECT_EQ(CounterOf(metrics, "server.bad_signatures_released"), 0u);
+  EXPECT_EQ(CounterOf(metrics, "jobs.submitted"),
+            CounterOf(metrics, "jobs.completed") +
+                CounterOf(metrics, "jobs.cancelled"));
 }
 
 }  // namespace

@@ -1,19 +1,22 @@
 // testutil.hpp — the shared test harness: per-test seeded RNG, the
-// reference Montgomery oracle (x * y * R^-1 mod N), and operand-sweep
-// helpers.  Every suite builds on these instead of re-rolling its own
-// fixture; gate-level drive helpers live in testutil_netlist.hpp so that
-// bignum-layer suites do not pull in the rtl/core headers.
+// reference Montgomery oracle (x * y * R^-1 mod N), operand-sweep
+// helpers, and strict lookups of registry counters.  Every suite builds
+// on these instead of re-rolling its own fixture; gate-level drive
+// helpers live in testutil_netlist.hpp so that bignum-layer suites do not
+// pull in the rtl/core headers.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bignum/biguint.hpp"
 #include "bignum/random.hpp"
+#include "obs/metrics.hpp"
 
 namespace mont::test {
 
@@ -144,6 +147,42 @@ void ForEachOperandPair(bignum::RandomBigUInt& rng,
   for (int trial = 0; trial < trials; ++trial) {
     fn(rng.Below(bound), rng.Below(bound));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Strict metrics reads
+// ---------------------------------------------------------------------------
+
+/// The counter `name` in `snapshot`.  Unlike MetricsSnapshot::CounterValue
+/// (0 when absent), a name nothing registered fails the test, so a
+/// misspelt name cannot pass an EXPECT_EQ(..., 0) without checking
+/// anything.
+inline std::uint64_t CounterOf(const obs::MetricsSnapshot& snapshot,
+                               const std::string& name) {
+  const auto it = snapshot.counters.find(name);
+  if (it == snapshot.counters.end()) {
+    ADD_FAILURE() << "counter '" << name << "' is not registered";
+    return 0;
+  }
+  return it->second;
+}
+
+/// The gauge `name` in `snapshot`; fails the test when it is not
+/// registered.
+inline std::int64_t GaugeOf(const obs::MetricsSnapshot& snapshot,
+                            const std::string& name) {
+  const auto it = snapshot.gauges.find(name);
+  if (it == snapshot.gauges.end()) {
+    ADD_FAILURE() << "gauge '" << name << "' is not registered";
+    return 0;
+  }
+  return it->second;
+}
+
+/// CounterOf over a fresh snapshot of `registry`.
+inline std::uint64_t CounterOf(const obs::Registry& registry,
+                               const std::string& name) {
+  return CounterOf(registry.Snapshot(), name);
 }
 
 }  // namespace mont::test
